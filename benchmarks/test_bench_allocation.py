@@ -1,10 +1,9 @@
-"""Merge-search engine benches: incremental vs reference, fan-out scaling.
+"""Merge-search engine benches: incremental vs reference.
 
 Measures the speedup of the heap-driven ``"incremental"`` engine over
 the ``"reference"`` rescan engine on large synthetic designs while
 asserting the two agree bit-for-bit (the differential gate of
-``tests/core/test_engine_differential.py``, run here at bench size),
-and records per-worker-count timings of the parallel restart fan-out.
+``tests/core/test_engine_differential.py``, run here at bench size).
 
 Sizes are environment-tunable so the CI smoke job can run a tiny
 configuration:
@@ -66,10 +65,8 @@ def _capacity(design, scale=1.4):
     )
 
 
-def _run(design, engine, parallel=None):
-    opts = PartitionerOptions(
-        allocation=AllocationOptions(engine=engine, parallel_restarts=parallel)
-    )
+def _run(design, engine):
+    opts = PartitionerOptions(allocation=AllocationOptions(engine=engine))
     t0 = time.perf_counter()
     result = partition(design, _capacity(design), opts)
     elapsed = time.perf_counter() - t0
@@ -117,99 +114,6 @@ def test_engine_speedup(bench_record):
     # meaningful (and asserted) at the full bench size.
     if CONFIG == "large":
         assert speedup > 1.5
-
-
-def test_parallel_fanout_scaling(bench_record):
-    """Wall time per worker count; fan-out must stay deterministic.
-
-    On a single-core host the extra processes cannot help (the committed
-    run records that honestly); the assertion is determinism + quality,
-    not speedup.
-    """
-    design = _designs(count=1, seed0=7100)[0]
-    base_time, base_fp = _run(design, "incremental")
-    rows = [{"workers": 1, "seconds": round(base_time, 3)}]
-    for workers in (2, 4):
-        elapsed, fp = _run(design, "incremental", parallel=workers)
-        again, fp2 = _run(design, "incremental", parallel=workers)
-        assert fp == fp2, f"fan-out with {workers} workers not deterministic"
-        # Superset exploration: never worse than the sequential search.
-        assert fp[3] <= base_fp[3]
-        rows.append(
-            {"workers": workers, "seconds": round(min(elapsed, again), 3)}
-        )
-    bench_record(parallel_scaling=rows, cpu_count=os.cpu_count())
-    print(f"\nparallel fan-out scaling: {rows}")
-
-
-def test_bounded_search_speedup(bench_record):
-    """Unbounded vs pruned+beamed incremental search.
-
-    The bound is exact for unweighted costs, so the bounded run must
-    land on a cost no worse than the unbounded one.  Exact pair stats
-    are memoised across restarts, so on re-visited pairs an evaluation
-    is already a dict hit and the beam cannot beat the default heap on
-    wall clock here; what it buys -- and what this bench records
-    alongside the honest timings -- is the cut in exact evaluations and
-    therefore in merge-cache materialisation (``search.nodes_expanded``,
-    see docs/PERFORMANCE.md "Pruning, beams, and portfolio").
-    """
-    from repro.obs import RecordingTracer
-
-    def _bounded_run(design, **alloc):
-        opts = PartitionerOptions(allocation=AllocationOptions(**alloc))
-        tracer = RecordingTracer()
-        t0 = time.perf_counter()
-        result = partition(design, _capacity(design), opts, tracer)
-        elapsed = time.perf_counter() - t0
-        return elapsed, result.objective, tracer.counters
-
-    t_plain = t_bounded = 0.0
-    eval_plain = eval_bounded = 0
-    per_design = []
-    for design in _designs(seed0=7200):
-        d_plain, cost_plain, c_plain = _bounded_run(design)
-        d_bounded, cost_bounded, c_bounded = _bounded_run(
-            design, beam_width=8, prune=True
-        )
-        assert cost_bounded <= cost_plain, (
-            f"bounded search worse on {design.name}: "
-            f"{cost_bounded} > {cost_plain}"
-        )
-        assert (
-            c_bounded["search.nodes_expanded"]
-            <= c_plain["search.nodes_expanded"]
-        )
-        t_plain += d_plain
-        t_bounded += d_bounded
-        eval_plain += int(c_plain["search.nodes_expanded"])
-        eval_bounded += int(c_bounded["search.nodes_expanded"])
-        per_design.append(
-            {
-                "design": design.name,
-                "unbounded_s": round(d_plain, 3),
-                "bounded_s": round(d_bounded, 3),
-            }
-        )
-    speedup = t_plain / max(t_bounded, 1e-9)
-    bench_record(
-        bounded_search={
-            "beam_width": 8,
-            "prune": True,
-            "unbounded_s": round(t_plain, 3),
-            "bounded_s": round(t_bounded, 3),
-            "speedup": round(speedup, 2),
-            "exact_evaluations_unbounded": eval_plain,
-            "exact_evaluations_bounded": eval_bounded,
-            "per_design": per_design,
-        }
-    )
-    print(
-        f"\nbounded search ({DESIGNS} {CONFIG} designs): "
-        f"unbounded {t_plain:.2f}s vs beam=8+prune {t_bounded:.2f}s "
-        f"-> {speedup:.2f}x wall, "
-        f"{eval_plain} -> {eval_bounded} exact evaluations"
-    )
 
 
 def test_partition_incremental(benchmark):

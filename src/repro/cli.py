@@ -91,45 +91,21 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _partitioner_options(args: argparse.Namespace) -> "PartitionerOptions | None":
-    """PartitionerOptions from the search-strategy flags (None = defaults)."""
+    """PartitionerOptions from the ``--engine`` flag (None = defaults)."""
     engine = getattr(args, "engine", None)
-    parallel = getattr(args, "parallel_restarts", None)
-    beam = getattr(args, "beam_width", None)
-    prune = bool(getattr(args, "prune", False))
-    shared_seen = bool(getattr(args, "shared_seen_filter", False))
-    if (
-        engine is None
-        and parallel is None
-        and beam is None
-        and not prune
-        and not shared_seen
-    ):
+    if engine is None:
         return None
     from .core.allocation import AllocationOptions
     from .core.partitioner import PartitionerOptions
 
-    return PartitionerOptions(
-        allocation=AllocationOptions(
-            engine=engine or "incremental",
-            parallel_restarts=parallel,
-            beam_width=beam,
-            prune=prune,
-            shared_seen_filter=shared_seen,
-        )
-    )
+    return PartitionerOptions(allocation=AllocationOptions(engine=engine))
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     problem = resolve_problem(args.design, args.device)
     design = problem.design
     tracer = _make_tracer(args)
-    try:
-        options = _partitioner_options(args)
-    except ValueError as exc:
-        # Invalid flag combination (e.g. --beam-width with the reference
-        # engine) -- AllocationOptions carries the explanation.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    options = _partitioner_options(args)
     print(design.summary())
 
     if problem.device is not None:
@@ -1084,29 +1060,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --floorplan)"
     )
     p.add_argument(
-        "--engine", choices=("incremental", "reference", "portfolio"),
+        "--engine", choices=("incremental", "reference"),
         help="merge-search engine (default: incremental, bit-identical "
-        "to reference; portfolio races incremental/annealing/exact -- "
-        "docs/PERFORMANCE.md)",
-    )
-    p.add_argument(
-        "--parallel-restarts", type=int, metavar="N",
-        help="shard the search restarts over N worker processes",
-    )
-    p.add_argument(
-        "--beam-width", type=int, metavar="K",
-        help="evaluate only the K most promising merges per step "
-        "(bound-ranked; default: no beam)",
-    )
-    p.add_argument(
-        "--prune", action="store_true",
-        help="branch-and-bound pruning of merge candidates via "
-        "admissible lower bounds",
-    )
-    p.add_argument(
-        "--shared-seen-filter", action="store_true",
-        help="with --parallel-restarts N>1: exchange seen-state "
-        "fingerprints between shards so no state is descended twice",
+        "to reference -- docs/PERFORMANCE.md)",
     )
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_partition)

@@ -29,13 +29,6 @@ Two engines produce bit-identical results (see docs/PERFORMANCE.md):
   are memoised so repeated restarts never recompute them.  Running
   footprint totals replace the per-state ``_fits`` rescan.
 
-``AllocationOptions.parallel_restarts`` additionally shards the
-independent restarts of the incremental engine across a process pool
-(:func:`repro.service.pool.fanout_map`).  Shards prune with *private*
-seen-state sets, so the fan-out explores a superset of the sequential
-states -- its best cost is never worse, but state counters differ (the
-bit-identical guarantee holds between the two sequential engines).
-
 Implementation note: this is the hot loop of the whole library (the
 Fig. 7-9 sweep runs it hundreds of thousands of times), so the internal
 :class:`_Group` works on plain int tuples -- (clb, bram, dsp) -- instead
@@ -48,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,11 +51,9 @@ from ..obs import NULL_TRACER, Tracer
 from .clustering import BasePartition
 from .cost import DEFAULT_POLICY, TransitionPolicy
 from .covering import CandidatePartitionSet
-from .fingerprint import state_fingerprint
 from .kernels import (
     encode_activity,
     merge_encoded,
-    merged_switch_bounds,
     switch_pair_counts_encoded,
     weighted_switch_sums_encoded,
 )
@@ -115,10 +106,6 @@ class _Group:
     switch_pairs_strict: float
     switch_pairs_lenient: float
     signature: frozenset[str]
-    #: Number of configurations with a non-``None`` activity entry --
-    #: the cross-pair term of the merged-cost lower bound
-    #: (:func:`repro.core.kernels.merged_switch_bounds`).
-    active: int = 0
     ids: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
     def switch_pairs(self, policy: TransitionPolicy) -> float:
@@ -229,7 +216,6 @@ def _make_group(
         switch_pairs_strict=strict,
         switch_pairs_lenient=lenient,
         signature=frozenset(p.label for p in members),
-        active=sum(1 for label in activity if label is not None),
         ids=ids,
     )
 
@@ -412,48 +398,18 @@ class _PairStats:
 
 
 class _HeapStats:
-    """Counters of the incremental engine's heap traffic (``merge.heap_*``)
-    and of the branch-and-bound search frontier (``search.nodes_*``):
-    ``expanded`` counts candidate merges evaluated exactly (heap
-    admissions, or beam-step pops), ``pruned`` those discarded on their
-    admissible bound before any evaluation."""
+    """Counters of the incremental engine's heap traffic (``merge.heap_*``)."""
 
-    __slots__ = ("pushes", "pops", "stale_drops", "rebuilds", "pruned",
-                 "expanded")
+    __slots__ = ("pushes", "pops", "stale_drops", "rebuilds")
 
     def __init__(self) -> None:
         self.pushes = 0
         self.pops = 0
         self.stale_drops = 0
         self.rebuilds = 0
-        self.pruned = 0
-        self.expanded = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "pushes": self.pushes,
-            "pops": self.pops,
-            "stale_drops": self.stale_drops,
-            "rebuilds": self.rebuilds,
-            "pruned": self.pruned,
-            "expanded": self.expanded,
-        }
-
-    def absorb(self, other: dict[str, int]) -> None:
-        self.pushes += other["pushes"]
-        self.pops += other["pops"]
-        self.stale_drops += other["stale_drops"]
-        self.rebuilds += other["rebuilds"]
-        self.pruned += other["pruned"]
-        self.expanded += other["expanded"]
 
 
-_ENGINES = ("incremental", "reference", "portfolio")
-
-#: Largest candidate-partition count for which the portfolio races the
-#: exact Bell-number enumeration (Bell(9) ~ 21k set partitions -- cheap;
-#: Bell(13) ~ 27M -- the exact backend would dominate the race).
-_PORTFOLIO_EXACT_MAX = 9
+_ENGINES = ("incremental", "reference")
 
 
 @dataclass
@@ -466,24 +422,7 @@ class AllocationOptions:
     means every compatible pair seeds one descent.  ``engine`` selects
     the search implementation -- the heap-driven ``"incremental"``
     engine (default) is bit-identical to ``"reference"`` and several
-    times faster (docs/PERFORMANCE.md); ``"portfolio"`` races
-    incremental / annealing / exact backends over the batch pool and
-    keeps the cheapest feasible result.  ``parallel_restarts`` shards
-    the incremental engine's restarts over that many worker processes;
-    ``None``/1 keeps the search in-process.
-
-    ``prune`` and ``beam_width`` trade the incremental engine's
-    exact-equivalence guarantee for speed (docs/PERFORMANCE.md,
-    "Pruning, beams, and portfolio"): ``prune`` discards candidate
-    merges whose admissible lower bound (
-    :func:`repro.core.kernels.merged_switch_bounds`) proves the greedy
-    would never apply them, ``beam_width`` keys the heap by that
-    cheap bound and exactly evaluates only the best ``k`` candidates
-    per step.  Both default off, preserving
-    bit-identity with the reference engine.  ``shared_seen_filter``
-    makes ``parallel_restarts`` shards exchange seen-state fingerprints
-    through :class:`repro.service.pool.SharedSeenFilter` so no two
-    shards re-descend the same state.
+    times faster (docs/PERFORMANCE.md).
     """
 
     policy: TransitionPolicy = DEFAULT_POLICY
@@ -495,10 +434,6 @@ class AllocationOptions:
     #: paper proposes as future work.
     pair_weights: "object | None" = None
     engine: str = "incremental"
-    parallel_restarts: int | None = None
-    beam_width: int | None = None
-    prune: bool = False
-    shared_seen_filter: bool = False
 
     def __post_init__(self) -> None:
         if self.max_initial_pairs is not None and self.max_initial_pairs < 1:
@@ -508,36 +443,6 @@ class AllocationOptions:
         if self.engine not in _ENGINES:
             raise ValueError(
                 f"engine must be one of {_ENGINES}, got {self.engine!r}"
-            )
-        if self.beam_width is not None and self.beam_width < 1:
-            raise ValueError("beam_width must be positive or None")
-        if self.engine == "reference":
-            if self.beam_width is not None:
-                raise ValueError(
-                    "beam_width requires engine='incremental' or "
-                    "'portfolio' -- the reference engine is the untouched "
-                    "differential oracle"
-                )
-            if self.prune:
-                raise ValueError(
-                    "prune requires engine='incremental' or 'portfolio' -- "
-                    "the reference engine is the untouched differential "
-                    "oracle"
-                )
-        if self.parallel_restarts is not None:
-            if self.parallel_restarts < 1:
-                raise ValueError("parallel_restarts must be positive or None")
-            if self.engine != "incremental":
-                raise ValueError(
-                    "parallel_restarts requires engine='incremental' "
-                    "(the portfolio already occupies the batch pool)"
-                )
-        if self.shared_seen_filter and (
-            self.parallel_restarts is None or self.parallel_restarts < 2
-        ):
-            raise ValueError(
-                "shared_seen_filter requires parallel_restarts >= 2 -- "
-                "a sequential search already has one seen-state set"
             )
 
 
@@ -627,8 +532,6 @@ def search_candidate_set(
 
     descent_steps = 0
     heap_stats = _HeapStats()
-    parallel_shards = 0
-    duplicate_states = 0
 
     progress = None
     if tracer.enabled:
@@ -642,8 +545,6 @@ def search_candidate_set(
                 best_cost=best_cost,
             )
 
-    portfolio_backends: tuple[str, ...] = ()
-
     if options.engine == "reference":
         for restart, (i, j) in enumerate(initial_pairs):
             groups = [g for k, g in enumerate(base) if k not in (i, j)]
@@ -654,135 +555,6 @@ def search_candidate_set(
             )
             if progress is not None:
                 progress(restart)
-    elif options.engine == "portfolio":
-        child_options = replace(
-            options,
-            engine="incremental",
-            parallel_restarts=None,
-            shared_seen_filter=False,
-        )
-        if options.pair_weights is not None:
-            # Annealing and exact score the unweighted objective; racing
-            # them against a weighted search would compare different
-            # objective functions, so the race degenerates to the
-            # incremental backend alone.
-            portfolio_backends = ("incremental",)
-        elif len(cps.partitions) <= _PORTFOLIO_EXACT_MAX:
-            portfolio_backends = ("incremental", "annealing", "exact")
-        else:
-            portfolio_backends = ("incremental", "annealing")
-        payloads = [
-            (name, design, cps, cap, child_options, initial_pairs)
-            for name in portfolio_backends
-        ]
-        # Imported lazily: repro.service depends on repro.core, not the
-        # other way around.
-        from ..service.pool import fanout_map
-
-        outcomes = fanout_map(
-            _portfolio_backend, payloads, len(portfolio_backends)
-        )
-        winner = None
-        # Incremental is processed first, so ties stay with the engine
-        # whose result the differential gate certifies.
-        for name, out in zip(portfolio_backends, outcomes):
-            states += out["states"]
-            feasible += out["feasible"]
-            descent_steps += out["descent_steps"]
-            if name == "incremental":
-                seen_states |= out["seen"]
-                heap_stats.absorb(out["heap"])
-                cache.hits += out["cache_hits"]
-                cache.misses += out["cache_misses"]
-                for key, group in out["cache_entries"].items():
-                    cache._cache.setdefault(key, group)
-            shard_groups = out["best_groups"]
-            shard_cost = out["best_cost"]
-            if shard_groups is not None and (
-                best_cost is None
-                or shard_cost < best_cost
-                or (
-                    shard_cost == best_cost
-                    and best_groups is not None
-                    and len(shard_groups) < len(best_groups)
-                )
-            ):
-                best_cost = shard_cost
-                best_groups = list(shard_groups)
-                winner = name
-            if tracer.enabled:
-                tracer.progress(
-                    "merge.portfolio_backend",
-                    backend=name,
-                    states=out["states"],
-                    best_cost=shard_cost,
-                )
-        if tracer.enabled:
-            tracer.progress(
-                "merge.portfolio_done",
-                winner=winner or "start-state",
-                best_cost=best_cost,
-            )
-    elif (
-        options.parallel_restarts is not None
-        and options.parallel_restarts > 1
-        and len(initial_pairs) > 1
-    ):
-        parallel_shards = min(options.parallel_restarts, len(initial_pairs))
-        child_options = replace(
-            options, parallel_restarts=None, shared_seen_filter=False
-        )
-        # Imported lazily: repro.service depends on repro.core, not the
-        # other way around.
-        from ..service.pool import fanout_map, make_seen_filter
-
-        seen_filter = (
-            make_seen_filter() if options.shared_seen_filter else None
-        )
-        payloads = [
-            (
-                design,
-                cps,
-                cap,
-                child_options,
-                initial_pairs[k::parallel_shards],
-                seen_filter,
-            )
-            for k in range(parallel_shards)
-        ]
-        outcomes = fanout_map(_search_shard, payloads, parallel_shards)
-        for out in outcomes:
-            states += out["states"]
-            feasible += out["feasible"]
-            descent_steps += out["descent_steps"]
-            duplicate_states += len(out["seen"])
-            seen_states |= out["seen"]
-            heap_stats.absorb(out["heap"])
-            cache.hits += out["cache_hits"]
-            cache.misses += out["cache_misses"]
-            for key, group in out["cache_entries"].items():
-                cache._cache.setdefault(key, group)
-            shard_groups = out["best_groups"]
-            shard_cost = out["best_cost"]
-            if shard_groups is not None and (
-                best_cost is None
-                or shard_cost < best_cost
-                or (
-                    shard_cost == best_cost
-                    and best_groups is not None
-                    and len(shard_groups) < len(best_groups)
-                )
-            ):
-                best_cost = shard_cost
-                best_groups = list(shard_groups)
-            if tracer.enabled:
-                tracer.progress(
-                    "merge.shard_done",
-                    restarts=len(out["seen"]),
-                    states=out["states"],
-                    best_cost=out["best_cost"],
-                )
-        duplicate_states -= len(seen_states)
     else:
         descent_steps = _run_restarts_incremental(
             base,
@@ -808,13 +580,6 @@ def search_candidate_set(
         tracer.count("merge.heap_pops", heap_stats.pops)
         tracer.count("merge.heap_stale_drops", heap_stats.stale_drops)
         tracer.count("merge.heap_rebuilds", heap_stats.rebuilds)
-        tracer.count("search.nodes_expanded", heap_stats.expanded)
-        tracer.count("search.nodes_pruned", heap_stats.pruned)
-    if parallel_shards:
-        tracer.count("merge.parallel_shards", parallel_shards)
-        tracer.count("merge.parallel_duplicate_states", duplicate_states)
-    if portfolio_backends:
-        tracer.count("merge.portfolio_backends", len(portfolio_backends))
     return AllocationOutcome(
         best_groups=best_groups,
         best_cost=best_cost,
@@ -834,7 +599,6 @@ def _run_restarts_incremental(
     pair_stats: _PairStats,
     heap_stats: _HeapStats,
     progress: Callable[[int], None] | None = None,
-    seen_filter=None,
 ) -> int:
     """Heap-driven restart loop, bit-identical to the reference engine.
 
@@ -859,34 +623,6 @@ def _run_restarts_incremental(
     in a ``partition()`` run read values out of that cache, so matching
     its *contents* (not just this search's result) is part of the
     bit-identical contract.
-
-    Two opt-in departures from that contract (``options.prune`` /
-    ``options.beam_width``) buy speed:
-
-    * branch-and-bound pruning discards a cost-first candidate without
-      evaluating it when the admissible lower bound on its merged cost
-      (:func:`repro.core.kernels.merged_switch_bounds` times the exact
-      merged frame count) already proves a non-negative delta -- the
-      greedy would pop it only to stop, so *within one search* the
-      applied merge sequence is provably unchanged (the shared cache
-      ends up smaller, which can steer later candidate sets of one
-      design differently -- hence opt-in);
-    * a beam keys the heap by the *cheap* bound instead of the exact
-      pair evaluation: entries are pushed unevaluated (no merged group
-      is built, nothing enters the shared cache), each step pops the
-      ``beam_width`` best bound-keyed pairs, exactly evaluates only
-      those, applies the true best and pushes the runners-up back with
-      their now-exact keys.  Unweighted, the bound identities are
-      exact, so pop order -- and hence the applied merge sequence and
-      every state considered -- matches the exact engines; only the
-      shared cache ends up smaller (the same opt-in caveat as pruning).
-      Weighted, the bound is a true lower bound and the top-k can miss
-      the true best pair, making the beam a heuristic there.
-
-    ``seen_filter`` (a :class:`repro.service.pool.SharedSeenFilter`)
-    switches the seen-state set to 128-bit fingerprints and exchanges
-    them with sibling shards once per restart boundary, so no two
-    shards re-descend a state any shard has already claimed.
     """
     policy = options.policy
     if policy is TransitionPolicy.STRICT:
@@ -901,13 +637,6 @@ def _run_restarts_incremental(
 
     cap_c, cap_b, cap_d = capacity
     max_steps = options.max_descent_steps
-    prune = options.prune
-    beam = options.beam_width
-    weighted = cache.weights is not None
-    strict = policy is TransitionPolicy.STRICT
-    cache_entries = cache._cache
-    use_fp = seen_filter is not None
-    outbox: list[int] = []
     n = len(base)
     base_c = base_b = base_d = 0
     for g in base:
@@ -931,52 +660,6 @@ def _run_restarts_incremental(
             return (delta, -saved, slot_lo, slot_hi)
         return (-saved, delta, slot_lo, slot_hi)
 
-    # Memoised bound ingredients per pair signature: restarts revisit the
-    # same pairs over and over, and the bound -- like the exact pair
-    # stats -- is a pure function of the two groups.
-    bound_memo: dict = {}
-
-    def bound_cost_fp(lo: _Group, hi: _Group, sig):
-        memo = bound_memo.get(sig)
-        if memo is not None:
-            return memo
-        s_lb, l_lb = merged_switch_bounds(
-            lo.switch_pairs_strict,
-            lo.switch_pairs_lenient,
-            lo.active,
-            hi.switch_pairs_strict,
-            hi.switch_pairs_lenient,
-            hi.active,
-            weighted,
-        )
-        rl, rh = lo.requirement, hi.requirement
-        req = (
-            rl[0] if rl[0] >= rh[0] else rh[0],
-            rl[1] if rl[1] >= rh[1] else rh[1],
-            rl[2] if rl[2] >= rh[2] else rh[2],
-        )
-        merged_fp, frames = _quantise(req)  # merged frames: exact
-        memo = (frames * (s_lb if strict else l_lb), merged_fp)
-        bound_memo[sig] = memo
-        return memo
-
-    def prunable(lo: _Group, hi: _Group) -> bool:
-        """B&B test: does the bound prove this merge would never apply?
-
-        Only meaningful in cost-first (fits) mode, where the greedy
-        stops at the first non-negative delta: an entry whose *lower
-        bound* on the delta is already >= 0 can only ever be popped to
-        stop, so dropping it leaves the applied merge sequence intact.
-        A pair already materialised in the shared cache is never pruned
-        -- its exact value is free, and scoring it keeps this search's
-        cache traffic congruent with the unpruned engines.
-        """
-        sig = lo.signature | hi.signature
-        if sig in cache_entries:
-            return False
-        bound, _ = bound_cost_fp(lo, hi, sig)
-        return bound - gcost(lo) - gcost(hi) >= 0
-
     def build_entries(items, mode_fits):
         entries = []
         m = len(items)
@@ -987,67 +670,8 @@ def _run_restarts_incremental(
                 sy, gy = items[y]
                 if ux & gy.usage:
                     continue
-                if prune and mode_fits and prunable(gx, gy):
-                    heap_stats.pruned += 1
-                    continue
                 entries.append(entry_for(sx, sy, gx, gy, mode_fits))
         entries.sort()
-        heap_stats.expanded += len(entries)
-        return entries
-
-    def bound_key(slot_lo, slot_hi, lo, hi, mode_fits):
-        """The entry key from cheap ingredients only: exact merged
-        frames/footprint (componentwise-max requirement), bounded switch
-        stats -- or the exact cached values when the pair is already in
-        the shared cache.  Unweighted the bound identities are exact, so
-        this tuple *equals* :func:`entry_for`'s."""
-        sig = lo.signature | hi.signature
-        cached = cache_entries.get(sig)
-        if cached is not None:
-            sw = (
-                cached.switch_pairs_strict
-                if strict
-                else cached.switch_pairs_lenient
-            )
-            merged_cost = cached.frames * sw
-            merged_fp = cached.footprint
-        else:
-            merged_cost, merged_fp = bound_cost_fp(lo, hi, sig)
-        lo_fp = lo.footprint
-        hi_fp = hi.footprint
-        delta = merged_cost - gcost(lo) - gcost(hi)
-        saved = (
-            (lo_fp[0] + hi_fp[0] - merged_fp[0])
-            + (lo_fp[1] + hi_fp[1] - merged_fp[1])
-            + (lo_fp[2] + hi_fp[2] - merged_fp[2])
-        )
-        if mode_fits:
-            return (delta, -saved, slot_lo, slot_hi)
-        return (-saved, delta, slot_lo, slot_hi)
-
-    def build_bound_entries(items, mode_fits):
-        """Seed the beam frontier: every live pair keyed by the *cheap*
-        bound key -- no merged group is built, nothing lands in the
-        shared cache until a pair is actually popped and evaluated."""
-        entries = []
-        m = len(items)
-        for x in range(m):
-            sx, gx = items[x]
-            ux = gx.usage
-            for y in range(x + 1, m):
-                sy, gy = items[y]
-                if ux & gy.usage:
-                    continue
-                key = bound_key(sx, sy, gx, gy, mode_fits)
-                if prune and mode_fits and key[0] >= 0:
-                    # Admissible bound on the delta is already
-                    # non-negative: the greedy could only pop this pair
-                    # to stop.
-                    heap_stats.pruned += 1
-                    continue
-                entries.append(key)
-        entries.sort()
-        heap_stats.pushes += len(entries)
         return entries
 
     total_steps = 0
@@ -1055,12 +679,6 @@ def _run_restarts_incremental(
     pop = heapq.heappop
 
     for restart, (i, j) in enumerate(initial_pairs):
-        if use_fp:
-            # One batched RPC per restart boundary: publish the states
-            # claimed during the previous descent, learn every state any
-            # sibling shard has claimed so far.
-            seen_states.update(seen_filter.exchange(outbox))
-            outbox.clear()
         gi, gj = base[i], base[j]
         merged = cache.merge(gi, gj)
         alive: dict[int, _Group] = {}
@@ -1080,63 +698,25 @@ def _run_restarts_incremental(
 
         steps = 0
         state_sig = frozenset(g.signature for g in alive.values())
-        state_key = state_fingerprint(state_sig) if use_fp else state_sig
         # max_descent_steps is validated positive, so the reference's
         # step-cap check never fires before the first step.
-        if len(alive) > 1 and state_key not in seen_states:
-            seen_states.add(state_key)
-            if use_fp:
-                outbox.append(state_key)
+        if len(alive) > 1 and state_sig not in seen_states:
+            seen_states.add(state_sig)
             sig_set = set(state_sig)
             mode = fits_now
-            if beam is None:
-                heap = build_entries(list(alive.items()), mode)
-                heap_stats.pushes += len(heap)
-            else:
-                heap = build_bound_entries(list(alive.items()), mode)
+            heap = build_entries(list(alive.items()), mode)
+            heap_stats.pushes += len(heap)
 
             while True:
-                if beam is None:
-                    entry = None
-                    while heap:
-                        candidate = pop(heap)
-                        if candidate[2] in alive and candidate[3] in alive:
-                            entry = candidate
-                            break
-                        heap_stats.stale_drops += 1
-                    if entry is None:
+                entry = None
+                while heap:
+                    candidate = pop(heap)
+                    if candidate[2] in alive and candidate[3] in alive:
+                        entry = candidate
                         break
-                else:
-                    # Beam step: pop the ``beam`` best bound-keyed pairs,
-                    # evaluate exactly those, keep the true best and push
-                    # the runners-up back with their now-exact keys.
-                    # Unweighted, bound keys equal exact keys, so the
-                    # winner -- and the whole merge sequence -- matches
-                    # the unbeamed engine; only pairs actually popped
-                    # here ever land in the shared cache.
-                    evaluated = []
-                    while heap and len(evaluated) < beam:
-                        candidate = pop(heap)
-                        if candidate[2] in alive and candidate[3] in alive:
-                            evaluated.append(
-                                entry_for(
-                                    candidate[2],
-                                    candidate[3],
-                                    alive[candidate[2]],
-                                    alive[candidate[3]],
-                                    mode,
-                                )
-                            )
-                        else:
-                            heap_stats.stale_drops += 1
-                    if not evaluated:
-                        break
-                    heap_stats.expanded += len(evaluated)
-                    evaluated.sort()
-                    entry = evaluated[0]
-                    for runner_up in evaluated[1:]:
-                        push(heap, runner_up)
-                        heap_stats.pushes += 1
+                    heap_stats.stale_drops += 1
+                if entry is None:
+                    break
                 heap_stats.pops += 1
                 delta = entry[0] if mode else entry[1]
                 if fits_now and delta >= 0:
@@ -1161,34 +741,10 @@ def _run_restarts_incremental(
                 if max_steps is not None and steps >= max_steps:
                     break
                 state_sig = frozenset(sig_set)
-                state_key = (
-                    state_fingerprint(state_sig) if use_fp else state_sig
-                )
-                if state_key in seen_states:
+                if state_sig in seen_states:
                     break
-                seen_states.add(state_key)
-                if use_fp:
-                    outbox.append(state_key)
-                if beam is not None:
-                    if fits_now and not mode:
-                        # Footprint-first -> cost-first flip: re-key the
-                        # whole bound frontier (at most once per descent,
-                        # same argument as the exact heap below).
-                        mode = True
-                        heap = build_bound_entries(list(alive.items()), True)
-                        heap_stats.rebuilds += 1
-                    else:
-                        mu = merged_next.usage
-                        for s, g in alive.items():
-                            if s == slot or g.usage & mu:
-                                continue
-                            key = bound_key(s, slot, g, merged_next, mode)
-                            if prune and mode and key[0] >= 0:
-                                heap_stats.pruned += 1
-                                continue
-                            push(heap, key)
-                            heap_stats.pushes += 1
-                elif fits_now and not mode:
+                seen_states.add(state_sig)
+                if fits_now and not mode:
                     # The arrangement started fitting: re-key every live
                     # pair from footprint-first to cost-first.  Footprint
                     # sums are non-increasing under merging, so this
@@ -1203,131 +759,16 @@ def _run_restarts_incremental(
                     for s, g in alive.items():
                         if s == slot or g.usage & mu:
                             continue
-                        if prune and mode and prunable(g, merged_next):
-                            heap_stats.pruned += 1
-                            continue
                         push(
                             heap,
                             entry_for(s, slot, g, merged_next, mode),
                         )
                         heap_stats.pushes += 1
-                        heap_stats.expanded += 1
 
         total_steps += steps
         if progress is not None:
             progress(restart)
-    if use_fp and outbox:
-        # Publish the final descent's states so later-finishing shards
-        # still benefit.
-        seen_filter.exchange(outbox)
-        outbox.clear()
     return total_steps
-
-
-def _search_shard(payload) -> dict:
-    """Worker body of the parallel restart fan-out: one restart shard.
-
-    Rebuilds the base groups and a private merge cache (codecs derived
-    the same way in every shard, so encoded ids stay consistent when the
-    parent adopts shard cache entries), runs the incremental engine over
-    its slice of the initial pairs, and reports everything the parent
-    needs to merge deterministically.  Must stay module-level (pickled
-    to pool workers).
-    """
-    design, cps, cap, options, pairs, seen_filter = payload
-    policy = options.policy
-    cache = _MergeCache(options.pair_weights)
-    base = _initial_groups(design, cps, options.pair_weights, cache.codec)
-    best_groups: list[_Group] | None = None
-    best_cost: float | None = None
-    counters = [0, 0]  # states, feasible
-
-    def consider(groups: list[_Group], fits: bool | None = None) -> None:
-        nonlocal best_groups, best_cost
-        counters[0] += 1
-        if fits is None:
-            fits = _fits(groups, cap)
-        if fits:
-            counters[1] += 1
-            cost = _total_cost(groups, policy)
-            if best_cost is None or cost < best_cost or (
-                cost == best_cost
-                and best_groups is not None
-                and len(groups) < len(best_groups)
-            ):
-                best_cost = cost
-                best_groups = list(groups)
-
-    seen: set = set()
-    heap_stats = _HeapStats()
-    pair_stats = _PairStats(policy, cache)
-    steps = _run_restarts_incremental(
-        base,
-        pairs,
-        cap,
-        options,
-        consider,
-        seen,
-        cache,
-        pair_stats,
-        heap_stats,
-        seen_filter=seen_filter,
-    )
-    return {
-        "best_groups": best_groups,
-        "best_cost": best_cost,
-        "states": counters[0],
-        "feasible": counters[1],
-        "descent_steps": steps,
-        "seen": seen,
-        "heap": heap_stats.as_dict(),
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-        "cache_entries": cache._cache,
-    }
-
-
-def _portfolio_backend(payload) -> dict:
-    """Worker body of the ``engine="portfolio"`` race: one backend.
-
-    The incremental racer is exactly a restart shard (same report
-    shape, so the parent can adopt its cache and heap stats); the
-    annealing and exact racers import lazily -- both modules import
-    this one at top level -- and adapt their outcomes to the same
-    shape.  Annealing and exact run unweighted only (the parent strips
-    them from the race for weighted objectives) and both are fully
-    deterministic, so the portfolio's winner is reproducible.
-    """
-    name, design, cps, cap, options, pairs = payload
-    if name == "incremental":
-        return _search_shard((design, cps, cap, options, pairs, None))
-    capacity = ResourceVector(*cap)
-    if name == "annealing":
-        from .annealing import anneal_candidate_set
-
-        groups, cost = anneal_candidate_set(
-            design, cps, capacity, options.policy
-        )
-        return {
-            "best_groups": groups,
-            "best_cost": cost,
-            "states": 0,
-            "feasible": 0,
-            "descent_steps": 0,
-        }
-    from .exact import exact_candidate_set
-
-    outcome = exact_candidate_set(
-        design, cps, capacity, options.policy,
-        max_partitions=_PORTFOLIO_EXACT_MAX,
-    )
-    return {
-        "best_groups": outcome.best_groups,
-        "best_cost": outcome.best_cost,
-        "states": outcome.states_enumerated,
-        "feasible": 0,
-        "descent_steps": 0,
-    }
 
 
 def _greedy_descent(

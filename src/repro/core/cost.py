@@ -19,16 +19,6 @@ its content must change (decision variable ``d_ij``, Eq. 8):
 all unordered configuration pairs -- the paper's proxy when the adaptation
 sequence is unknown.  **Worst-case reconfiguration time** (Eq. 11) is the
 maximum single-transition cost.
-
-The per-pair activity-difference structure behind ``d_ij`` is also what
-makes merged-region costs *boundable without building the merge*: two
-compatible regions have disjoint active configurations, so the merged
-region's differing pairs are exactly the union of the parents' plus the
-cross pairs -- the identity
-:func:`repro.core.kernels.merged_switch_bounds` derives from the same
-Eq. 8 machinery as :func:`repro.core.kernels.pairwise_frames_matrix`,
-and which the merge search's branch-and-bound pruning relies on
-(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ def _canonical_options(options: "PartitionerOptions | None") -> dict[str, Any]:
             (sorted(key), float(weight))
             for key, weight in options.pair_probabilities.items()
         )
-    doc: dict[str, Any] = {
+    return {
         "policy": options.policy.name,
         "max_candidate_sets": options.max_candidate_sets,
         "include_single_region": options.include_single_region,
@@ -85,42 +85,6 @@ def _canonical_options(options: "PartitionerOptions | None") -> dict[str, Any]:
         "max_descent_steps": options.allocation.max_descent_steps,
         "pair_probabilities": pairs,
     }
-    # Search-strategy knobs that can change the *result* (not just the
-    # speed) are keyed only when set: a default run keeps the exact
-    # pre-existing normal form -- and cache key -- while a pruned /
-    # beamed / portfolio / fanned-out run can never alias it.
-    alloc = options.allocation
-    search: dict[str, Any] = {}
-    if alloc.engine == "portfolio":
-        search["engine"] = alloc.engine
-    if alloc.prune:
-        search["prune"] = True
-    if alloc.beam_width is not None:
-        search["beam_width"] = alloc.beam_width
-    if alloc.parallel_restarts is not None and alloc.parallel_restarts > 1:
-        search["parallel_restarts"] = alloc.parallel_restarts
-    if search:
-        doc["search"] = search
-    return doc
-
-
-def state_fingerprint(signature: frozenset[frozenset[str]]) -> int:
-    """Stable 128-bit fingerprint of one search state signature.
-
-    A state of the merge search is the partition of labels into groups
-    (:class:`repro.core.allocation._Group` signatures).  The fingerprint
-    is the first 16 bytes of the SHA-256 of a canonical rendering --
-    groups sorted, labels sorted within each group -- so it is identical
-    across processes and Python hash randomisation.  Used by the shared
-    cross-shard seen-state filter: ints ship across the
-    :mod:`repro.service.pool` boundary far cheaper than nested
-    frozensets, and a 128-bit digest makes collisions negligible next to
-    the search's state counts.
-    """
-    canon = "|".join(sorted(",".join(sorted(group)) for group in signature))
-    return int.from_bytes(
-        hashlib.sha256(canon.encode("utf-8")).digest()[:16], "big"
-    )
 
 
 def canonical_problem(

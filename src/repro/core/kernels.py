@@ -100,50 +100,6 @@ def weighted_switch_sums_encoded(
     return strict, lenient
 
 
-def merged_switch_bounds(
-    strict_a: float,
-    lenient_a: float,
-    active_a: int,
-    strict_b: float,
-    lenient_b: float,
-    active_b: int,
-    weighted: bool,
-) -> tuple[float, float]:
-    """Admissible (strict, lenient) lower bounds on a merged overlay.
-
-    For two *compatible* groups (disjoint active positions, disjoint
-    label sets) the differing-pair set of the merged activity vector is
-    exactly the union of the parents' differing-pair sets, and the two
-    sets overlap exactly on the cross pairs -- one position active in
-    each parent (the same pairwise activity-difference structure Eq. 8's
-    :func:`pairwise_frames_matrix` evaluates per configuration pair).
-    Writing ``cross`` for the number of such pairs:
-
-    * ``strict(merged)  = strict(a) + strict(b) - cross``
-    * ``lenient(merged) = lenient(a) + lenient(b) + cross``
-
-    Unweighted, ``cross == active_a * active_b`` and both identities are
-    **exact** in integer arithmetic -- the bound equals the true merged
-    count.  Weighted, ``cross`` is the (non-negative) weight mass over
-    the cross pairs, which this function does not see; dropping the
-    unknown terms keeps the bounds admissible but looser:
-
-    * ``strict_lb  = max(strict(a), strict(b))``  (since strict(x) >= cross)
-    * ``lenient_lb = max(lenient(a), lenient(b))``
-
-    The weighted bounds involve no float arithmetic at all (a ``max`` of
-    two already-computed sums), so they can never creep above the true
-    merged sum through rounding.
-    """
-    if weighted:
-        return (
-            strict_a if strict_a >= strict_b else strict_b,
-            lenient_a if lenient_a >= lenient_b else lenient_b,
-        )
-    cross = active_a * active_b
-    return strict_a + strict_b - cross, lenient_a + lenient_b + cross
-
-
 def pairwise_frames_matrix(
     ids: np.ndarray, frames: np.ndarray, lenient: bool
 ) -> np.ndarray:

@@ -20,7 +20,7 @@ larger device and re-partition.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -77,7 +77,8 @@ class PartitionerOptions:
     def __post_init__(self) -> None:
         # The inner search must score with the same policy as the outer
         # selection, otherwise the reported optimum is not the search's.
-        self.allocation.policy = self.policy
+        # A copy, so options sharing one AllocationOptions stay independent.
+        self.allocation = replace(self.allocation, policy=self.policy)
 
     def weight_matrix(self, design: PRDesign) -> "np.ndarray | None":
         """Pair probabilities as a symmetric matrix in config order."""
@@ -143,7 +144,7 @@ def partition(
     tracer = tracer or NULL_TRACER
     policy = options.policy
     weights = options.weight_matrix(design)
-    options.allocation.pair_weights = weights
+    allocation = replace(options.allocation, pair_weights=weights)
 
     with tracer.span(
         "partition",
@@ -190,7 +191,7 @@ def partition(
                     design,
                     cps,
                     capacity,
-                    options.allocation,
+                    allocation,
                     merge_cache=merge_cache,
                     tracer=tracer,
                 )

@@ -874,12 +874,10 @@ def run_batch(
     return report
 
 
-_FANOUT_POOLS: dict[int, Any] = {}
-
-#: Persistent warm batch pools, cached per worker count like the
-#: fan-out pools.  Workers survive across jobs *and* ``run_batch``
-#: calls, which is what lets the replay service's module-level scheme
-#: cache keep paying off (``pool.warm_hits``) fleet-wide.
+#: Persistent warm batch pools, cached per worker count.  Workers
+#: survive across jobs *and* ``run_batch`` calls, which is what lets the
+#: replay service's module-level scheme cache keep paying off
+#: (``pool.warm_hits``) fleet-wide.
 _WARM_EXECUTORS: dict[int, Any] = {}
 
 
@@ -981,115 +979,13 @@ def _drain_warm(heap, workers, payload_for, handle, pool_tele=None) -> None:
         pool_tele.occupancy(0, 0)
 
 
-def fanout_map(fn, payloads, workers: int) -> list[Any]:
-    """Map ``fn`` over ``payloads`` on a reusable process pool.
-
-    Generic fan-out primitive for CPU-bound shards (used by
-    ``repro.core.allocation``'s ``parallel_restarts``).  ``fn`` must be a
-    picklable module-level function.  Pools are cached per worker count
-    and reused across calls -- spawning a pool per search would dwarf the
-    shard work -- and torn down at interpreter exit.
-
-    Falls back to inline execution (preserving order and exceptions)
-    when pooling cannot help or cannot work: a single payload,
-    ``workers <= 1``, or when called from a daemonic worker process
-    (e.g. inside a supervised batch worker), which is not allowed to
-    fork children.
-    """
-    payloads = list(payloads)
-    if (
-        workers <= 1
-        or len(payloads) <= 1
-        or multiprocessing.current_process().daemon
-    ):
-        return [fn(p) for p in payloads]
-    workers = min(workers, len(payloads))
-    pool = _FANOUT_POOLS.get(workers)
-    if pool is None:
-        pool = multiprocessing.get_context().Pool(processes=workers)
-        _FANOUT_POOLS[workers] = pool
-    try:
-        return pool.map(fn, payloads)
-    except Exception:
-        # A broken pool (killed/crashed worker) stays broken: retire it
-        # so the next call starts fresh, then surface the error.
-        _FANOUT_POOLS.pop(workers, None)
-        try:
-            pool.terminate()
-        except Exception:
-            pass
-        raise
-
-
-class SharedSeenFilter:
-    """Cross-process seen-state exchange for parallel search shards.
-
-    Wraps a ``multiprocessing.Manager`` dict of state fingerprints
-    (:func:`repro.core.fingerprint.state_fingerprint` ints).  Shards call
-    :meth:`exchange` once per restart boundary: publish the fingerprints
-    they claimed since the last call, receive the full set every shard
-    has claimed so far.  One batched RPC per restart keeps the proxy off
-    the descent hot path; the returned set is the whole filter (ints are
-    cheap to ship), so a shard's local seen-set stays a superset of its
-    own knowledge and merging is a plain ``set.update``.
-
-    The proxy reconnects to the manager on unpickling, so a filter can
-    ride inside a ``fanout_map`` payload.
-    """
-
-    def __init__(self, proxy) -> None:
-        self._proxy = proxy
-
-    def exchange(self, fingerprints) -> set[int]:
-        """Publish ``fingerprints``; return every fingerprint known."""
-        proxy = self._proxy
-        for fp in fingerprints:
-            proxy[fp] = True
-        return set(proxy.keys())
-
-
-_SEEN_MANAGER: Any = None
-
-
-def make_seen_filter() -> SharedSeenFilter | None:
-    """A fresh :class:`SharedSeenFilter`, or ``None`` when one cannot work.
-
-    The backing manager process is created lazily and reused for the
-    interpreter's lifetime (spawning one per search would dwarf the
-    shard work, like the fan-out pools).  Returns ``None`` from daemonic
-    processes -- they may not spawn the manager child, and ``fanout_map``
-    falls back to inline execution there anyway, where the caller's
-    private seen-set already covers every shard.
-    """
-    global _SEEN_MANAGER
-    if multiprocessing.current_process().daemon:
-        return None
-    if _SEEN_MANAGER is None:
-        _SEEN_MANAGER = multiprocessing.Manager()
-    return SharedSeenFilter(_SEEN_MANAGER.dict())
-
-
-def _shutdown_fanout_pools() -> None:
-    global _SEEN_MANAGER
+def _shutdown_warm_executors() -> None:
     while _WARM_EXECUTORS:
         workers, _executor = next(iter(_WARM_EXECUTORS.items()))
         _retire_warm_executor(workers)
-    while _FANOUT_POOLS:
-        _, pool = _FANOUT_POOLS.popitem()
-        try:
-            pool.terminate()
-            pool.join()
-        except Exception:
-            pass
-    if _SEEN_MANAGER is not None:
-        manager, _SEEN_MANAGER = _SEEN_MANAGER, None
-        try:
-            manager.shutdown()
-        except Exception:
-            pass
 
 
-atexit.register(_shutdown_fanout_pools)
+atexit.register(_shutdown_warm_executors)
 
 
 def _drain_supervised(

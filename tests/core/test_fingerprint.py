@@ -131,7 +131,7 @@ class TestCanonicalForm:
 
 
 class TestSearchOptionsKey:
-    """The conditional "search" sub-dict in the canonical options."""
+    """Default options keep the keys of existing on-disk result caches."""
 
     @staticmethod
     def _key(design, **alloc):
@@ -154,22 +154,14 @@ class TestSearchOptionsKey:
             self._key(tiny_design)
         )
 
-    def test_bounded_search_knobs_change_key(self, tiny_design):
-        base = self._key(tiny_design)
-        distinct = {
-            base,
-            self._key(tiny_design, prune=True),
-            self._key(tiny_design, beam_width=4),
-            self._key(tiny_design, beam_width=16),
-            self._key(tiny_design, engine="portfolio"),
-            self._key(tiny_design, parallel_restarts=2),
-        }
-        assert len(distinct) == 6
+    def test_default_key_pinned(self):
+        """The paper example's default key is a literal: a change to the
+        canonical form would orphan every cached result."""
+        from repro.eval.example_design import example_design
 
-    def test_shared_seen_filter_excluded_from_key(self, tiny_design):
-        """The filter changes work distribution, never results."""
-        plain = self._key(tiny_design, parallel_restarts=2)
-        filtered = self._key(
-            tiny_design, parallel_restarts=2, shared_seen_filter=True
+        key = problem_key(
+            example_design(), ResourceVector(520, 16, 16), PartitionerOptions()
         )
-        assert plain == filtered
+        assert key == (
+            "949d768fcf6b8724b7f10725d5f0a223d1ca984215a6d73e2fcd60a51fe4ee2b"
+        )

@@ -12,7 +12,6 @@ from repro.core.kernels import (
     NONE_ID,
     encode_activity,
     merge_encoded,
-    merged_switch_bounds,
     pairwise_frames_matrix,
     switch_pair_counts_encoded,
     weighted_switch_sums_encoded,
@@ -137,66 +136,3 @@ class TestPairwiseFramesMatrix:
             lenient=True,
         )
         assert got.shape == (0, 0)
-
-
-class TestMergedSwitchBounds:
-    """Admissibility (and unweighted exactness) of the merge bound."""
-
-    @staticmethod
-    def _compatible_pair(rng, n):
-        """Two activity vectors active on disjoint positions with
-        disjoint label sets (the search's compatibility relation)."""
-        a = [None] * n
-        b = [None] * n
-        for i in range(n):
-            side = rng.integers(3)
-            if side == 0:
-                a[i] = f"a{rng.integers(3)}"
-            elif side == 1:
-                b[i] = f"b{rng.integers(3)}"
-        return tuple(a), tuple(b)
-
-    @staticmethod
-    def _overlay(a, b):
-        return tuple(x if x is not None else y for x, y in zip(a, b))
-
-    @pytest.mark.parametrize("seed", range(25))
-    def test_unweighted_identity_is_exact(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        n = int(rng.integers(2, 12))
-        a, b = self._compatible_pair(rng, n)
-        sa, la = _switch_pair_counts(a)
-        sb, lb = _switch_pair_counts(b)
-        s_lb, l_lb = merged_switch_bounds(
-            sa, la, sum(x is not None for x in a),
-            sb, lb, sum(x is not None for x in b),
-            weighted=False,
-        )
-        s_true, l_true = _switch_pair_counts(self._overlay(a, b))
-        assert (s_lb, l_lb) == (s_true, l_true)
-
-    @pytest.mark.parametrize("seed", range(25))
-    def test_weighted_bound_is_admissible(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        n = int(rng.integers(2, 12))
-        a, b = self._compatible_pair(rng, n)
-        # Integer-valued weights keep every float sum exact, so the
-        # <= comparisons below are free of rounding questions.
-        W = rng.integers(0, 100, size=(n, n)).astype(float)
-        W = W + W.T
-        sa, la = _weighted_switch_sums(a, W)
-        sb, lb = _weighted_switch_sums(b, W)
-        s_lb, l_lb = merged_switch_bounds(
-            sa, la, sum(x is not None for x in a),
-            sb, lb, sum(x is not None for x in b),
-            weighted=True,
-        )
-        s_true, l_true = _weighted_switch_sums(self._overlay(a, b), W)
-        assert s_lb <= s_true
-        assert l_lb <= l_true
-
-    def test_all_none_vectors(self):
-        assert merged_switch_bounds(0, 0, 0, 0, 0, 0, weighted=False) == (0, 0)
-        assert merged_switch_bounds(
-            0.0, 0.0, 0, 0.0, 0.0, 0, weighted=True
-        ) == (0.0, 0.0)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.arch.library import virtex5_ladder
 from repro.arch.resources import ResourceVector
+from repro.core.allocation import AllocationOptions
 from repro.core.baselines import (
     one_module_per_region_scheme,
     single_region_scheme,
@@ -80,6 +81,22 @@ class TestPartition:
         assert result.total_frames == total_reconfiguration_frames(
             result.scheme, TransitionPolicy.STRICT
         )
+
+    def test_shared_allocation_options_not_aliased(self):
+        shared = AllocationOptions()
+        strict = PartitionerOptions(
+            policy=TransitionPolicy.STRICT, allocation=shared
+        )
+        PartitionerOptions(policy=TransitionPolicy.LENIENT, allocation=shared)
+        assert strict.allocation.policy is TransitionPolicy.STRICT
+
+    def test_partition_leaves_caller_options_unchanged(self, paper_example):
+        weights = object()
+        allocation = AllocationOptions(pair_weights=weights)
+        opts = PartitionerOptions(allocation=allocation)
+        partition(paper_example, ResourceVector(2000, 50, 50), opts)
+        assert opts.allocation.pair_weights is weights
+        assert allocation.pair_weights is weights
 
     def test_disable_single_region_fallback(self, tiny_design):
         budget = ResourceVector(260, 0, 0)

@@ -311,29 +311,3 @@ class TestWorkerEntryPoint:
         assert outcome["ok"] is False
         assert outcome["job_id"] == "j1"
         assert "Traceback" in outcome["error"]
-
-
-class TestSharedSeenFilter:
-    def test_exchange_publishes_and_returns_known_set(self):
-        from repro.service.pool import SharedSeenFilter
-
-        filt = SharedSeenFilter({})
-        assert filt.exchange([1, 2, 3]) == {1, 2, 3}
-        # A second party sees the first batch plus its own.
-        assert filt.exchange([4]) == {1, 2, 3, 4}
-        # Re-publishing is idempotent.
-        assert filt.exchange([2, 4]) == {1, 2, 3, 4}
-        # An empty publish is a pure read.
-        assert filt.exchange([]) == {1, 2, 3, 4}
-
-    def test_make_seen_filter_shares_state_across_instances(self):
-        from repro.service.pool import make_seen_filter
-
-        filt = make_seen_filter()
-        assert filt is not None
-        filt.exchange([99])
-        other = make_seen_filter()
-        # A brand-new filter has its own dict: state is per-filter, one
-        # filter object per fan-out.
-        assert 99 not in other.exchange([])
-        assert 99 in filt.exchange([])

@@ -114,6 +114,7 @@ class TestPartition:
         assert "Pipeline trace" in out
         assert "merge_search" in out
         assert "clustering.base_partitions" in out
+        assert "merge.heap_pushes" in out
 
     def test_trace_json_file(self, design_xml, tmp_path, capsys):
         from repro.obs import trace_from_json
@@ -172,55 +173,9 @@ class TestEngineFlags:
         ) == 0
         assert capsys.readouterr().out == default_out  # bit-identical
 
-    def test_parallel_restarts(self, design_xml, capsys):
-        assert main(
-            ["partition", design_xml, "--device", "LX30",
-             "--parallel-restarts", "2"]
-        ) == 0
-        assert "total reconfiguration:" in capsys.readouterr().out
-
     def test_invalid_engine_rejected(self, design_xml):
         with pytest.raises(SystemExit):
             main(["partition", design_xml, "--engine", "quantum"])
-
-    def test_parallel_requires_incremental(self, design_xml, capsys):
-        # Invalid knob combinations exit 2 with the validation message on
-        # stderr instead of surfacing a traceback.
-        assert main(
-            ["partition", design_xml, "--device", "LX30",
-             "--engine", "reference", "--parallel-restarts", "2"]
-        ) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_beam_and_prune_run(self, design_xml, capsys):
-        assert main(
-            ["partition", design_xml, "--device", "LX30",
-             "--beam-width", "4", "--prune", "--trace"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "total reconfiguration:" in out
-        assert "search.nodes_expanded" in out
-
-    def test_portfolio_engine_runs(self, design_xml, capsys):
-        assert main(
-            ["partition", design_xml, "--device", "LX30",
-             "--engine", "portfolio"]
-        ) == 0
-        assert "total reconfiguration:" in capsys.readouterr().out
-
-    def test_shared_seen_filter_flag(self, design_xml, capsys):
-        assert main(
-            ["partition", design_xml, "--device", "LX30",
-             "--parallel-restarts", "2", "--shared-seen-filter"]
-        ) == 0
-        assert "total reconfiguration:" in capsys.readouterr().out
-
-    def test_reference_engine_rejects_beam(self, design_xml, capsys):
-        assert main(
-            ["partition", design_xml, "--device", "LX30",
-             "--engine", "reference", "--beam-width", "4"]
-        ) == 2
-        assert "reference" in capsys.readouterr().err
 
 
 class TestProfile:

@@ -416,23 +416,17 @@ class TestBenchDiff:
 
 class TestSearchCounters:
     def test_search_frontier_counters_flow_into_report(self, tmp_path):
-        """Counters the bounded merge search emits surface in obs report."""
+        """Counters the merge search emits surface in obs report."""
         from repro.arch.resources import ResourceVector
-        from repro.core.allocation import AllocationOptions
-        from repro.core.partitioner import PartitionerOptions, partition
+        from repro.core.partitioner import partition
         from repro.eval.example_design import example_design
         from repro.obs import RecordingTracer
 
         tracer = RecordingTracer()
-        opts = PartitionerOptions(
-            allocation=AllocationOptions(beam_width=4, prune=True)
-        )
-        partition(example_design(), ResourceVector(5000, 64, 64), opts, tracer)
-        assert "search.nodes_expanded" in tracer.counters
-        assert "search.nodes_pruned" in tracer.counters
+        partition(example_design(), ResourceVector(5000, 64, 64), None, tracer)
+        assert "merge.heap_pushes" in tracer.counters
 
         _write_run(tmp_path / "t", counters=dict(tracer.counters))
         report = aggregate_run(tmp_path / "t")
         text = render_run_report(report)
-        assert "search.nodes_expanded" in text
-        assert "search.nodes_pruned" in text
+        assert "merge.heap_pushes" in text
