@@ -641,10 +641,13 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         status = 1
     if cursor_file is not None:
+        from .util import write_text_atomic
+
         try:
-            cursor_file.write_text(
-                _json.dumps(follower.cursor.to_dict()) + "\n",
-                encoding="utf-8",
+            # Rename-atomic: a kill mid-write must leave the previous
+            # cursor, not an empty file the next resume cannot parse.
+            write_text_atomic(
+                cursor_file, _json.dumps(follower.cursor.to_dict()) + "\n"
             )
         except OSError as exc:
             print(f"error: cannot write cursor file: {exc}", file=sys.stderr)
@@ -1265,10 +1268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--batch-size", type=int, default=1, metavar="N",
-        help="traces per replay job (default 1: one job per trace, the "
-        "legacy layout; N>1 micro-batches each design's traces into "
-        "replay-batch jobs, amortising dispatch/scheme/store overhead "
-        "N x while keeping per-trace records byte-identical)",
+        help="traces per replay job (default 1: one job per trace; N>1 "
+        "micro-batches each design's traces, amortising "
+        "dispatch/scheme/store overhead N x while keeping per-trace "
+        "records byte-identical)",
     )
     p.add_argument(
         "--telemetry-dir", metavar="DIR",

@@ -58,9 +58,9 @@ class ReplayPolicyStats:
     latency: Histogram | None = None
 
     def fold(self, summary: Mapping[str, Any]) -> None:
-        # A micro-batched job ships one summary covering ``traces``
-        # member replays; single-trace summaries carry no field and
-        # count as one, so jobs counts *traces*, batched or not.
+        # A replay job ships one summary covering ``traces`` member
+        # replays; summaries from older single-trace jobs carry no
+        # field and count as one, so jobs counts *traces*.
         self.jobs += int(summary.get("traces", 1))
         self.events += int(summary.get("events", 0))
         self.switches += int(summary.get("switches", 0))

@@ -21,7 +21,7 @@ measured quantity, wired through every existing layer:
   scheme against one trace under one policy, emitting per-switch
   latency into :mod:`repro.obs` histograms (p50/p95/p99 delivered
   switch latency, stall events, ICAP utilisation, prefetch hit rate);
-* :mod:`repro.replay.store` -- content-addressed on-disk store of
+* :mod:`repro.replay.store` -- content-addressed on-disk segments of
   replay records, keyed by (problem key, trace key, policy);
 * :mod:`repro.replay.service` -- replay jobs as the batch service's
   second workload class: sweeps (schemes x environments x policies x
@@ -60,12 +60,10 @@ from .policies import (
     resolve_policy,
 )
 from .service import (
-    replay_job_key,
     replay_probe_keys,
     replay_store_for,
     replay_summary,
     run_replay_batch_payload,
-    run_replay_payload,
     submit_replay_suite,
 )
 from .store import ReplayResultStore
@@ -101,7 +99,6 @@ __all__ = [
     "iter_trace",
     "render_policy_comparison",
     "replay_batch_key",
-    "replay_job_key",
     "replay_probe_keys",
     "replay_record",
     "replay_result_key",
@@ -111,7 +108,6 @@ __all__ = [
     "resolve_policy",
     "ring_matrix",
     "run_replay_batch_payload",
-    "run_replay_payload",
     "submit_replay_suite",
     "trace_key",
 ]

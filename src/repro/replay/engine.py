@@ -38,9 +38,9 @@ from .policies import BitstreamStore, PolicySpec, resolve_policy
 #: The replay engines ``replay_trace`` dispatches between.  ``auto``
 #: picks the vectorized kernel when the policy is history-free and the
 #: inlined scalar loop otherwise; ``reference`` is the original
-#: manager-based loop, kept as the differential oracle (the fast paths
-#: are pinned bit-identical to it by tests/replay/test_kernel.py).
-REPLAY_ENGINES = ("auto", "vector", "scalar", "reference")
+#: manager-based loop, kept as the differential oracle (``auto`` is
+#: pinned bit-identical to it by tests/replay/test_kernel.py).
+REPLAY_ENGINES = ("auto", "reference")
 
 #: Bumped whenever replay semantics change -- part of every result key,
 #: so stale cached records miss instead of aliasing.
@@ -168,8 +168,8 @@ def replay_batch_key(
     A batch job is the ordered set of its member replays, so its key
     hashes (problem, ordered trace keys, policy, version); the members
     themselves stay individually addressed by
-    :func:`replay_result_key`, which is what lets batched and
-    single-trace sweeps share one record store.
+    :func:`replay_result_key`, which is what lets sweeps at any batch
+    size share one record store.
     """
     payload = json.dumps(
         {
@@ -203,12 +203,12 @@ def replay_trace(
     initial full configuration is never charged (it loads at power-up,
     matching :class:`~repro.runtime.manager.ConfigurationManager`).
 
-    ``engine`` selects the implementation (:data:`REPLAY_ENGINES`); every
-    engine produces bit-identical results, so the choice is purely a
-    throughput knob.  ``vector`` materialises the trace as an id array
-    (and errors on stateful policies); ``auto``/``scalar``/``reference``
-    preserve the streaming contract.  The vector path counts the events
-    it absorbs on ``tracer`` as ``replay.vector_events``.
+    ``engine`` selects the implementation (:data:`REPLAY_ENGINES`); both
+    produce bit-identical results.  ``auto`` materialises the trace as
+    an id array for history-free policies (the vector kernel, which
+    counts the events it absorbs on ``tracer`` as
+    ``replay.vector_events``) and streams it through the scalar loop
+    otherwise; ``reference`` always streams.
     """
     policy = resolve_policy(policy)
     if engine not in REPLAY_ENGINES:
@@ -232,14 +232,7 @@ def replay_trace(
         trace_key=trace_key,
     )
     tables = kernel.tables_for(scheme)
-    eligible = kernel.vector_eligible(policy)
-    if engine == "vector" and not eligible:
-        raise ReplayError(
-            "the vectorized kernel covers plain-manager policies with "
-            f"'none'/'static' eviction; policy {policy.name!r} is stateful "
-            "(use engine='auto' to fall back to the scalar loop)"
-        )
-    if eligible and engine in ("auto", "vector"):
+    if kernel.vector_eligible(policy):
         ids = kernel.encode_trace(tables, trace)
         kernel.run_vector(scheme, tables, ids, policy, result)
         tracer.count("replay.vector_events", int(ids.size))

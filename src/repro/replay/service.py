@@ -1,31 +1,32 @@
 """Replay jobs: the batch service's second workload class.
 
-A replay job is a partition job plus a workload: its ``replay`` spec
-carries a :class:`~repro.replay.trace.TraceSpec` document and a
-:class:`~repro.replay.policies.PolicySpec` document, both canonical
+A replay job (``Job.kind == "replay-batch"``) is a partition job plus a
+workload: its ``replay`` spec carries N
+:class:`~repro.replay.trace.TraceSpec` documents and one
+:class:`~repro.replay.policies.PolicySpec` document, all canonical
 dicts, so they survive the job log and the worker pickle boundary
-unchanged.  Execution is two cache layers deep:
+unchanged.  A single trace is simply a batch of one.  Execution is two
+cache layers deep:
 
 1. the *partition* result is looked up in the
    :class:`~repro.service.cache.ResultCache` under the ordinary
    partition problem key and computed (and cached) on a miss -- so a
    sweep of 30 policies x traces over one design runs the expensive
    search once;
-2. the *replay* result is keyed by
+2. each member trace's *replay* record is keyed by
    :func:`~repro.replay.engine.replay_result_key` (problem x trace x
-   policy x version) and stored in the :class:`ReplayResultStore`
-   under ``<cache_root>/replay`` -- a re-run of the whole sweep
-   completes in phase 1 of :func:`repro.service.run_batch` without
-   dispatching a single worker.
+   policy x version) and the job's records are stored as one segment
+   of the :class:`ReplayResultStore` under ``<cache_root>/replay`` -- a
+   re-run of the whole sweep completes in phase 1 of
+   :func:`repro.service.run_batch` without dispatching a single worker.
 
 :func:`submit_replay_suite` is the fan-out entry: it crosses a
 :class:`~repro.replay.trace.WorkloadSuite` (synthesized designs x
-environments x seeds) with a policy list and enqueues one replay job
-per cell -- or, with ``batch_size > 1``, one ``replay-batch`` job per
-N cells sharing a (design, policy), which amortises dispatch, scheme
-resolution and store IO N x while keeping every member record under
-its individual :func:`~repro.replay.engine.replay_result_key` (batched
-and single-trace sweeps fill the same store).
+environments x seeds) with a policy list and enqueues one job per
+``batch_size`` traces of one (design, policy), which amortises
+dispatch, scheme resolution and store IO N x.  Member records keep
+their individual keys, so sweeps at any batch size fill and hit the
+same store.
 
 Workers stay *warm*: resolved partition results are kept in a
 module-level LRU keyed by partition problem key, so a persistent
@@ -124,17 +125,6 @@ def replay_store_for(cache: ResultCache) -> ReplayResultStore:
     return ReplayResultStore(Path(cache.root) / REPLAY_STORE_DIRNAME)
 
 
-def _replay_docs(replay: Mapping[str, Any] | None) -> tuple[TraceSpec, PolicySpec]:
-    if not isinstance(replay, Mapping):
-        raise ReplayError("replay job carries no replay spec")
-    try:
-        trace_doc = replay["trace"]
-        policy_doc = replay["policy"]
-    except KeyError as exc:
-        raise ReplayError(f"replay spec is missing {exc}") from exc
-    return TraceSpec.from_dict(trace_doc), resolve_policy(policy_doc)
-
-
 def _replay_batch_docs(
     replay: Mapping[str, Any] | None,
 ) -> tuple[list[TraceSpec], PolicySpec]:
@@ -155,27 +145,13 @@ def _replay_batch_docs(
     )
 
 
-def replay_job_key(job: Job, library: DeviceLibrary | None = None) -> str:
-    """The content-address of one replay job: problem x trace x policy.
-
-    The partition half is the ordinary
-    :func:`~repro.service.pool.partition_problem_key`; the trace half
-    hashes the configuration-name universe with the spec, so renaming a
-    configuration (which changes the trace) changes the key even when
-    the spec document does not.
-    """
-    key, _members = replay_probe_keys(job, library)
-    return key
-
-
 def replay_probe_keys(
     job: Job, library: DeviceLibrary | None = None
 ) -> tuple[str, list[str]]:
-    """``(job key, member record keys)`` of a replay or replay-batch job.
+    """``(job key, member record keys)`` of a replay-batch job.
 
     One XML parse covers both halves (the problem key and the trace
-    keys).  For single-trace jobs the job key *is* the one member key;
-    for batches the job key is :func:`~repro.replay.engine.replay_batch_key`
+    keys).  The job key is :func:`~repro.replay.engine.replay_batch_key`
     while the members are the per-trace record keys -- phase 1 of the
     batch runner declares the job cached exactly when **every** member
     has a stored record.
@@ -183,16 +159,10 @@ def replay_probe_keys(
     partition_key, names = _problem_key_names(
         job.design_xml, job.device, job.max_candidate_sets, library
     )
-    if job.kind == "replay-batch":
-        specs, policy = _replay_batch_docs(job.replay)
-        tkeys = [trace_key(names, spec) for spec in specs]
-        members = [
-            replay_result_key(partition_key, tk, policy) for tk in tkeys
-        ]
-        return replay_batch_key(partition_key, tkeys, policy), members
-    spec, policy = _replay_docs(job.replay)
-    key = replay_result_key(partition_key, trace_key(names, spec), policy)
-    return key, [key]
+    specs, policy = _replay_batch_docs(job.replay)
+    tkeys = [trace_key(names, spec) for spec in specs]
+    members = [replay_result_key(partition_key, tk, policy) for tk in tkeys]
+    return replay_batch_key(partition_key, tkeys, policy), members
 
 
 def replay_summary(result: ReplayResult) -> dict[str, Any]:
@@ -274,52 +244,6 @@ def _partition_for(
     while len(_WARM_SCHEMES) > WARM_SCHEME_LIMIT:
         _WARM_SCHEMES.popitem(last=False)
     return partition_key, result, device_name
-
-
-def run_replay_payload(
-    payload: Mapping[str, Any],
-    started: float | None = None,
-    tracer: Tracer = NULL_TRACER,
-) -> dict[str, Any]:
-    """Worker body of one replay job (called from ``execute_job_payload``).
-
-    Partition-result resolution is cache-first: a hit rebuilds the
-    scheme from the stored entry, a miss runs the search and caches it
-    under the partition key -- so the replay store and the result cache
-    fill each other's future lookups.  Exceptions propagate; the
-    caller's outcome envelope turns them into ``ok=False`` payloads.
-    """
-    t0 = time.perf_counter() if started is None else started
-    spec, policy = _replay_docs(payload.get("replay"))
-    cache = ResultCache(payload["cache_root"])
-    store = replay_store_for(cache)
-    partition_key, result, device_name = _partition_for(
-        payload, cache, t0, tracer
-    )
-
-    scheme = result.scheme
-    names = config_names(scheme.design)
-    key = replay_result_key(partition_key, trace_key(names, spec), policy)
-    with tracer.span("replay", policy=policy.name, environment=spec.environment):
-        replayed = replay_trace(
-            scheme,
-            iter_trace(names, spec),
-            policy,
-            matrix=generator_matrix(names, spec),
-            problem_key=partition_key,
-            trace_key=trace_key(names, spec),
-            tracer=tracer,
-        )
-    store.put_result(key, replayed)
-    return {
-        "job_id": payload["job_id"],
-        "ok": True,
-        "key": key,
-        "device": device_name,
-        "total_frames": result.total_frames,
-        "compute_s": time.perf_counter() - t0,
-        "replay": replay_summary(replayed),
-    }
 
 
 def run_replay_batch_payload(
@@ -423,19 +347,16 @@ def submit_replay_suite(
     submitter: str = "",
     batch_size: int = 1,
 ) -> list[Job]:
-    """Fan a workload suite x policy list out as replay jobs.
+    """Fan a workload suite x policy list out as replay-batch jobs.
 
-    With the default ``batch_size=1``, one job per (design, trace,
-    policy) cell, named ``<design>/<environment>[<trace-seed>]/<policy>``
-    -- byte-identical submissions to the pre-batching path.  With
-    ``batch_size=N``, each design's traces are chunked N at a time into
-    ``replay-batch`` jobs per policy (named
-    ``<design>/batch<i>[<n>]/<policy>``); member records keep their
-    single-trace keys, so batched and unbatched sweeps of the same
-    suite serve each other's cached records.  Submission dedupes
-    identical cells either way, so re-submitting a suite onto a queue
-    that already holds it is a no-op.  Returns the jobs in submission
-    order.
+    Each design's traces are chunked ``batch_size`` at a time into one
+    ``replay-batch`` job per policy, named
+    ``<design>/batch<i>[<n>]/<policy>``; the default ``batch_size=1``
+    submits one-trace batches.  Member records keep their per-trace
+    keys, so sweeps of the same suite at any batch size serve each
+    other's cached records.  Submission dedupes identical jobs, so
+    re-submitting a suite onto a queue that already holds it is a
+    no-op.  Returns the jobs in submission order.
     """
     if batch_size < 1:
         raise ReplayError("batch_size must be at least 1")
@@ -446,33 +367,6 @@ def submit_replay_suite(
     if max_attempts is not None:
         kwargs["max_attempts"] = max_attempts
     jobs: list[Job] = []
-
-    def submit(design_xml: str, name: str, kind: str, replay: dict) -> None:
-        jobs.append(
-            store.submit(
-                name=name,
-                design_xml=design_xml,
-                device=device,
-                max_candidate_sets=max_candidate_sets,
-                priority=priority,
-                submitter=submitter,
-                kind=kind,
-                replay=replay,
-                **kwargs,
-            )
-        )
-
-    if batch_size == 1:
-        for design, spec in suite.iter_workloads():
-            design_xml = design_to_xml(design, device_name=device)
-            for policy in resolved:
-                submit(
-                    design_xml,
-                    f"{design.name}/{spec.environment}[{spec.seed}]/{policy.name}",
-                    "replay",
-                    {"trace": spec.to_dict(), "policy": policy.to_dict()},
-                )
-        return jobs
 
     # iter_workloads yields each design's specs consecutively; chunk
     # them per design so a batch never straddles two schemes.
@@ -486,15 +380,22 @@ def submit_replay_suite(
         for policy in resolved:
             for i in range(0, len(pending_specs), batch_size):
                 chunk = pending_specs[i : i + batch_size]
-                submit(
-                    current_xml,
-                    f"{current.name}/batch{i // batch_size}"
-                    f"[{len(chunk)}]/{policy.name}",
-                    "replay-batch",
-                    {
-                        "traces": [s.to_dict() for s in chunk],
-                        "policy": policy.to_dict(),
-                    },
+                jobs.append(
+                    store.submit(
+                        name=f"{current.name}/batch{i // batch_size}"
+                        f"[{len(chunk)}]/{policy.name}",
+                        design_xml=current_xml,
+                        device=device,
+                        max_candidate_sets=max_candidate_sets,
+                        priority=priority,
+                        submitter=submitter,
+                        kind="replay-batch",
+                        replay={
+                            "traces": [s.to_dict() for s in chunk],
+                            "policy": policy.to_dict(),
+                        },
+                        **kwargs,
+                    )
                 )
 
     for design, spec in suite.iter_workloads():

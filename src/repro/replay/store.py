@@ -1,27 +1,18 @@
-"""Content-addressed on-disk store of replay records.
+"""Content-addressed on-disk store of replay records, held in segments.
 
-Mirrors the :class:`repro.service.cache.ResultCache` disciplines --
-sharded layout (``<root>/ab/<key>.json``), atomic writes, format/version
-envelope, per-instance hit/miss counters -- for the replay subsystem's
-records.  Keys come from :func:`repro.replay.engine.replay_result_key`
-(problem key x trace key x policy x replay version), so a fleet sweep
-re-run completes entirely from this store, exactly like partition jobs
+Keys come from :func:`repro.replay.engine.replay_result_key` (problem
+key x trace key x policy x replay version), so a fleet sweep re-run
+completes entirely from this store, exactly like partition jobs
 complete from the result cache.
 
-Two write layouts coexist:
-
-* **per-key files** (``<root>/ab/<key>.json``) -- one record per file,
-  written by single-trace jobs; and
-* **segments** (``<root>/segments/<digest>.json``) -- one atomic file
-  holding *all* the records of one micro-batched job, so an N-trace job
-  costs one write instead of N.  The digest is the SHA-256 of the
-  segment payload itself, so concurrent workers producing the same
-  batch race to an identical file, exactly like per-key entries.
-
-Reads see the union: :meth:`get_record`/:meth:`probe` fall back to the
-segment index on a per-key miss, and :meth:`probe_many` resolves a
-whole sweep's keys with O(shards + segments) directory/file reads
-instead of O(keys) file opens -- the warm-sweep fast path.
+Every replay job is a ``replay-batch`` job (a single trace is a batch
+of one), and each job writes *all* of its records as one **segment**
+(``<root>/segments/<digest>.json``): one rename-atomic file, so an
+N-trace job costs one write instead of N.  The digest is the SHA-256 of
+the segment payload itself, so concurrent workers producing the same
+batch race to an identical file.  :meth:`ReplayResultStore.probe_many`
+resolves a whole sweep's keys with O(segments) file reads instead of
+O(keys) file opens -- the warm-sweep fast path.
 
 The store lives in its own subtree (conventionally
 ``<cache_root>/replay`` -- see :func:`repro.replay.service.replay_store_for`)
@@ -32,132 +23,56 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..eval.persistence import PersistenceError
-from ..service.cache import ArtifactStore
-from .engine import ReplayResult, replay_record, result_from_record
+from ..util import write_text_atomic
+from .engine import ReplayResult, result_from_record
 
-#: Envelope header of every stored record.
-ENTRY_FORMAT = "repro-replay-record"
-ENTRY_VERSION = 1
-
-#: Envelope header of every stored segment (micro-batched append).
+#: Envelope header of every stored segment.
 SEGMENT_FORMAT = "repro-replay-segment"
 SEGMENT_VERSION = 1
 
-#: Subdirectory holding segment files; deliberately longer than the
-#: two-hex shard names so the layouts can never collide.
+#: Subdirectory holding segment files.
 SEGMENT_DIRNAME = "segments"
 
+SUFFIX = ".json"
 
-class ReplayResultStore(ArtifactStore):
-    """Sharded, atomic store of canonical replay records.
 
-    Builds on :class:`~repro.service.cache.ArtifactStore` for layout and
-    atomic text IO; adds the JSON envelope and record (de)serialisation.
-    Because :func:`replay_record` is deterministic and the envelope is
-    dumped canonically, the bytes for one key are identical no matter
-    which worker writes them -- concurrent writers race to the same file.
+class ReplayResultStore:
+    """Atomic, content-addressed segments of canonical replay records.
+
+    Because :func:`~repro.replay.engine.replay_record` is deterministic
+    and segments are dumped canonically, the bytes of one batch are
+    identical no matter which worker writes them.  Per-instance
+    ``hits``/``misses`` counters mirror
+    :class:`repro.service.cache.ResultCache`.
     """
 
-    SUFFIX = ".json"
-
     def __init__(self, root: str | Path):
-        super().__init__(root)
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.hits = 0
+        self.misses = 0
         self._segment_index: dict[str, dict[str, Any]] | None = None
 
-    def path_for(self, key: str) -> Path:
-        if len(key) < 3:
-            raise PersistenceError(f"replay key too short: {key!r}")
-        return self.root / key[:2] / f"{key}{self.SUFFIX}"
-
-    def put_record(self, key: str, record: Mapping[str, Any]) -> Path:
-        """Store one canonical record under ``key`` atomically."""
-        text = json.dumps(
-            {
-                "format": ENTRY_FORMAT,
-                "version": ENTRY_VERSION,
-                "key": key,
-                "record": dict(record),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ) + "\n"
-        return self.put(key, text)
-
-    def put_result(self, key: str, result: ReplayResult) -> Path:
-        return self.put_record(key, replay_record(result))
-
-    def _envelope(self, key: str, text: str) -> Mapping[str, Any] | None:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            return None
-        if (
-            not isinstance(doc, Mapping)
-            or doc.get("format") != ENTRY_FORMAT
-            or doc.get("version") != ENTRY_VERSION
-            or doc.get("key") != key
-            or not isinstance(doc.get("record"), Mapping)
-        ):
-            return None
-        return doc
-
     def get_record(self, key: str) -> dict[str, Any] | None:
-        """The record for ``key``; ``None`` on a miss or corrupt entry.
-
-        Looks at the per-key layout first, then at the segment index,
-        so batched and single-trace sweeps read each other's records.
-        """
-        try:
-            text = self.path_for(key).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            record = self.segment_index().get(key)
-            if record is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return dict(record)
-        doc = self._envelope(key, text)
-        if doc is None:
+        """The record for ``key``; ``None`` on a miss."""
+        record = self.segment_index().get(key)
+        if record is None:
             self.misses += 1
             return None
         self.hits += 1
-        return dict(doc["record"])
+        return dict(record)
 
     def get_result(self, key: str) -> ReplayResult | None:
         record = self.get_record(key)
         return None if record is None else result_from_record(record)
 
     def probe(self, key: str) -> bool:
-        """Cheap hit test: is there a plausibly valid record for ``key``?
+        """Is there a stored record for ``key``?  Counted like a lookup."""
+        return bool(self.probe_many([key]))
 
-        Mirrors :meth:`repro.service.cache.ResultCache.probe` -- the
-        batch runner's phase-1 check: envelope validation only, corrupt
-        or missing entries count as misses.  Falls back to the segment
-        index on a per-key miss.
-        """
-        try:
-            text = self.path_for(key).read_text(encoding="utf-8")
-        except OSError:
-            if key in self.segment_index():
-                self.hits += 1
-                return True
-            self.misses += 1
-            return False
-        if self._envelope(key, text) is None:
-            self.misses += 1
-            return False
-        self.hits += 1
-        return True
-
-    # ------------------------------------------------------------------
-    # segment layout (micro-batched appends)
-    # ------------------------------------------------------------------
     def segment_dir(self) -> Path:
         return self.root / SEGMENT_DIRNAME
 
@@ -166,7 +81,7 @@ class ReplayResultStore(ArtifactStore):
         digest is content-derived, so overlapping keys hold identical
         records and merge order cannot matter)."""
         try:
-            return sorted(self.segment_dir().glob(f"*{self.SUFFIX}"))
+            return sorted(self.segment_dir().glob(f"*{SUFFIX}"))
         except OSError:
             return []
 
@@ -174,9 +89,8 @@ class ReplayResultStore(ArtifactStore):
         """Store a whole batch of ``key -> record`` in ONE atomic write.
 
         The segment file is named by the SHA-256 of its own canonical
-        payload, so identical batches race to identical files (the
-        per-key discipline, lifted to batches).  Returns the segment
-        path, or ``None`` for an empty batch.
+        payload, so identical batches race to identical files.  Returns
+        the segment path, or ``None`` for an empty batch.
         """
         if not records:
             return None
@@ -190,21 +104,9 @@ class ReplayResultStore(ArtifactStore):
             separators=(",", ":"),
         ) + "\n"
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        path = self.segment_dir() / f"{digest}{self.SUFFIX}"
+        path = self.segment_dir() / f"{digest}{SUFFIX}"
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{digest[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_text_atomic(path, payload)
         self._segment_index = None
         return path
 
@@ -232,10 +134,10 @@ class ReplayResultStore(ArtifactStore):
         """``key -> record`` over every valid segment, cached.
 
         One pass over the segment directory (corrupt segments are
-        skipped -- their keys just miss and recompute, the per-key
-        corruption discipline).  Invalidation: :meth:`put_many` drops
-        the cache; cross-process writers are visible to a fresh store
-        instance, which is what each ``run_batch`` call constructs.
+        skipped -- their keys just miss and recompute).  Invalidation:
+        :meth:`put_many` drops the cache; cross-process writers are
+        visible to a fresh store instance, which is what each
+        ``run_batch`` call constructs.
         """
         if self._segment_index is None:
             index: dict[str, dict[str, Any]] = {}
@@ -248,48 +150,25 @@ class ReplayResultStore(ArtifactStore):
             self._segment_index = index
         return self._segment_index
 
-    def _file_keys(self) -> set[str]:
-        """Keys of the per-key layout, by directory listing alone.
-
-        Per-key files are written atomically and named by their content
-        address, so presence-by-name is trustworthy without opening the
-        files -- this is what keeps :meth:`probe_many` at O(shards)
-        reads.
-        """
-        out: set[str] = set()
-        try:
-            shards = sorted(self.root.iterdir())
-        except OSError:
-            return out
-        for shard in shards:
-            if not shard.is_dir() or shard.name == SEGMENT_DIRNAME:
-                continue
-            for entry in shard.glob(f"*{self.SUFFIX}"):
-                out.add(entry.stem)
-        return out
-
     def probe_many(self, keys: Iterable[str]) -> set[str]:
         """The subset of ``keys`` with a stored record.
 
-        A fully cached N-trace sweep resolves in O(shards + segments)
-        reads instead of N file opens: one directory listing for the
-        per-key layout, one parse per segment.  Hit/miss counters move
-        by the same amounts per-key :meth:`probe` calls would.
+        A fully cached N-trace sweep resolves in O(segments) reads
+        instead of N file opens.  Hit/miss counters move by one per key.
         """
         keys = list(keys)
-        known = self._file_keys() | set(self.segment_index())
-        present = {k for k in keys if k in known}
+        index = self.segment_index()
+        present = {k for k in keys if k in index}
         self.hits += len(present)
         self.misses += len(keys) - len(present)
         return present
 
     def keys(self) -> Iterator[str]:
-        """All stored keys across both layouts (order unspecified)."""
-        seen = self._file_keys()
-        yield from seen
-        for key in self.segment_index():
-            if key not in seen:
-                yield key
+        """All stored keys (order unspecified)."""
+        return iter(self.segment_index())
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists() or key in self.segment_index()
+        return key in self.segment_index()
+
+    def __len__(self) -> int:
+        return len(self.segment_index())

@@ -8,16 +8,17 @@ directory never collects millions of siblings.  The payload reuses the
 design as XML, the scheme/result via :func:`result_to_dict`, and
 :class:`~repro.eval.persistence.PersistenceError` on anything malformed.
 
-Writes are atomic (temp file + ``os.replace``) so a crashed or killed
-worker can never leave a truncated entry behind, and concurrent workers
-computing the same key simply race to an identical file.
+Writes are rename-atomic (:func:`repro.util.write_text_atomic`) so a
+crashed or killed worker can never leave a truncated entry behind, and
+concurrent workers computing the same key simply race to an identical
+file.  The layout, counters and atomic IO live in one private base
+shared with :class:`ArtifactStore`; :class:`ResultCache` adds only its
+envelope encode/decode.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -30,6 +31,7 @@ from ..eval.persistence import (
     result_to_dict,
 )
 from ..flow.xmlio import design_to_xml, parse_design
+from ..util import write_text_atomic
 
 #: Header of every cache entry; bumped on payload changes (old entries
 #: then fail ``get`` loudly and ``lookup`` treats them as misses).
@@ -56,12 +58,17 @@ class CachedResult:
         return self.result.total_frames
 
 
-class ResultCache:
-    """A content-addressed store of :class:`PartitionResult`s.
+class _ShardedTextStore:
+    """Content-addressed UTF-8 files, one per key, sharded by key prefix.
 
-    Per-instance ``hits``/``misses`` counters make hit rates observable
-    without a tracer; :meth:`stats` snapshots them.
+    The layout (``<root>/ab/<key><SUFFIX>``), directory scans, per-instance
+    ``hits``/``misses`` counters and atomic writes shared by every
+    key-per-file store; subclasses define what the text means.
     """
+
+    SUFFIX = ".txt"
+    #: Noun used in error messages ("cache key too short").
+    LABEL = "store"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -69,13 +76,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    # ------------------------------------------------------------------
-    # layout
-    # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         if len(key) < 3:
-            raise PersistenceError(f"cache key too short: {key!r}")
-        return self.root / key[:2] / f"{key}.json"
+            raise PersistenceError(f"{self.LABEL} key too short: {key!r}")
+        return self.root / key[:2] / f"{key}{self.SUFFIX}"
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
@@ -85,11 +89,37 @@ class ResultCache:
         for shard in sorted(self.root.iterdir()):
             if not shard.is_dir():
                 continue
-            for entry in sorted(shard.glob("*.json")):
+            for entry in sorted(shard.glob(f"*{self.SUFFIX}")):
                 yield entry.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
+
+    def stats(self) -> Mapping[str, int]:
+        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
+
+    def _read(self, key: str) -> str | None:
+        """The stored text for ``key``; ``None`` when absent (uncounted)."""
+        try:
+            return self.path_for(key).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
+
+    def _write(self, key: str, text: str) -> Path:
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return write_text_atomic(path, text)
+
+
+class ResultCache(_ShardedTextStore):
+    """A content-addressed store of :class:`PartitionResult`s.
+
+    Per-instance ``hits``/``misses`` counters make hit rates observable
+    without a tracer; :meth:`stats` snapshots them.
+    """
+
+    SUFFIX = ".json"
+    LABEL = "cache"
 
     # ------------------------------------------------------------------
     # read path
@@ -100,10 +130,8 @@ class ResultCache:
         A *corrupt* entry raises :class:`PersistenceError` -- callers
         that prefer recompute-over-failure use :meth:`lookup`.
         """
-        path = self.path_for(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
+        text = self._read(key)
+        if text is None:
             self.misses += 1
             return None
         entry = self._decode(key, text)
@@ -201,28 +229,7 @@ class ResultCache:
             "design_xml": design_to_xml(result.scheme.design),
             "result": result_to_dict(result),
         }
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def stats(self) -> Mapping[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
+        return self._write(key, json.dumps(doc, indent=1))
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -233,76 +240,31 @@ class ResultCache:
         return removed
 
 
-class ArtifactStore:
+class ArtifactStore(_ShardedTextStore):
     """Content-addressed store of rendered text artifacts (SVG/HTML).
 
     The rendering layer (:mod:`repro.render`) is deterministic, so a
     rendered artifact is as cacheable as the result it was rendered
     from: :func:`repro.render.artifact_key` folds the problem key, the
     renderer identity and ``RENDERER_VERSION`` into one SHA-256, and
-    this store maps that key to the artifact text.  It reuses the
-    :class:`ResultCache` disciplines -- sharded layout
-    (``<root>/ab/<key>.txt``), atomic writes (temp file +
-    ``os.replace``), per-instance hit/miss counters -- but holds plain
-    UTF-8 text instead of JSON entries: the artifact *is* the payload,
-    and byte-determinism means no envelope is needed for validation.
+    this store maps that key to the artifact text.  It shares the
+    :class:`ResultCache` layout (``<root>/ab/<key>.txt``), atomic writes
+    and hit/miss counters, but holds plain UTF-8 text instead of JSON
+    entries: the artifact *is* the payload, and byte-determinism means
+    no envelope is needed for validation.
     """
 
-    SUFFIX = ".txt"
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    def path_for(self, key: str) -> Path:
-        if len(key) < 3:
-            raise PersistenceError(f"artifact key too short: {key!r}")
-        return self.root / key[:2] / f"{key}{self.SUFFIX}"
-
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
-    def keys(self) -> Iterator[str]:
-        """All stored keys (directory scan; order unspecified)."""
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.glob(f"*{self.SUFFIX}")):
-                yield entry.stem
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
+    LABEL = "artifact"
 
     def get(self, key: str) -> str | None:
         """The artifact text for ``key``, ``None`` on a miss."""
-        try:
-            text = self.path_for(key).read_text(encoding="utf-8")
-        except FileNotFoundError:
+        text = self._read(key)
+        if text is None:
             self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return text
 
     def put(self, key: str, text: str) -> Path:
         """Store ``text`` under ``key`` atomically; returns the path."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
-
-    def stats(self) -> Mapping[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
+        return self._write(key, text)

@@ -36,12 +36,11 @@ from ..util.jsonl import JsonlError, replay_jsonl
 JOB_STATES = ("pending", "running", "done", "failed")
 
 #: The workload classes the batch service executes.  ``partition`` jobs
-#: run the paper's partitioning search; ``replay`` jobs additionally
-#: replay the resulting scheme against a synthesized traffic trace
-#: under a serving policy (:mod:`repro.replay`); ``replay-batch`` jobs
-#: carry N trace specs sharing one scheme/policy, so dispatch, scheme
-#: resolution and store IO amortise N x (the micro-batching fast path).
-JOB_KINDS = ("partition", "replay", "replay-batch")
+#: run the paper's partitioning search; ``replay-batch`` jobs
+#: additionally replay the resulting scheme against N synthesized
+#: traffic traces under one serving policy (:mod:`repro.replay`), so
+#: dispatch, scheme resolution and store IO amortise N x.
+JOB_KINDS = ("partition", "replay-batch")
 
 #: Default cap on per-job execution attempts (1 initial + 1 retry).
 DEFAULT_MAX_ATTEMPTS = 2
@@ -94,16 +93,7 @@ class Job:
             raise JobStoreError(f"unknown job state {self.state!r}")
         if self.kind not in JOB_KINDS:
             raise JobStoreError(f"unknown job kind {self.kind!r}")
-        if self.kind == "replay":
-            if not isinstance(self.replay, Mapping) or not (
-                isinstance(self.replay.get("trace"), Mapping)
-                and isinstance(self.replay.get("policy"), Mapping)
-            ):
-                raise JobStoreError(
-                    "a replay job needs a replay spec with 'trace' and "
-                    "'policy' mappings"
-                )
-        elif self.kind == "replay-batch":
+        if self.kind == "replay-batch":
             traces = None
             if isinstance(self.replay, Mapping):
                 traces = self.replay.get("traces")
@@ -149,6 +139,29 @@ def _spec_digest(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def _batch_of_one(raw: Mapping) -> dict:
+    """A logged single-trace ``replay`` job, read as a ``replay-batch`` of one.
+
+    Queue logs written before single-trace jobs were folded into
+    batches stay loadable: the spec digest is recomputed for the new
+    form, so re-submitting the same one-trace sweep still dedupes.
+    """
+    spec = raw["replay"]
+    replay = {"traces": [spec.get("trace")], "policy": spec.get("policy")}
+    return {
+        **raw,
+        "kind": "replay-batch",
+        "replay": replay,
+        "spec_digest": _spec_digest(
+            raw.get("design_xml", ""),
+            raw.get("device"),
+            raw.get("max_candidate_sets"),
+            "replay-batch",
+            replay,
+        ),
+    }
+
+
 class JobStore:
     """The JSON-lines job store for one queue directory."""
 
@@ -189,6 +202,10 @@ class JobStore:
                 raise JobStoreError(
                     f"{self.path}:{i + 1}: job record must be an object"
                 )
+            if raw.get("kind") == "replay" and isinstance(
+                raw.get("replay"), Mapping
+            ):
+                raw = _batch_of_one(raw)
             try:
                 job = Job(**{k: v for k, v in raw.items() if k in known})
             except (TypeError, JobStoreError) as exc:

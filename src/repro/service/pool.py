@@ -44,8 +44,6 @@ import atexit
 import heapq
 import json
 import multiprocessing
-import os
-import tempfile
 import threading
 import time
 import traceback
@@ -66,6 +64,7 @@ from ..core.partitioner import (
 )
 from ..obs import NULL_TRACER, RecordingTracer, TelemetrySink, Tracer
 from ..obs.resources import job_resources, sample_self
+from ..util import write_text_atomic
 from .cache import ResultCache
 from .faults import FaultPlan, inject, spec_from_payload
 from .jobs import Job, JobStore
@@ -98,12 +97,12 @@ def job_problem_key(job: Job, library: DeviceLibrary | None = None) -> str:
     """The content-address of a job's problem, whatever its kind.
 
     ``partition`` jobs key on the partitioning problem alone
-    (:func:`partition_problem_key`); ``replay`` jobs fold the trace and
-    policy in on top (:func:`repro.replay.service.replay_job_key`), so
-    the same scheme replayed under a different workload or policy is a
-    distinct cache entry.
+    (:func:`partition_problem_key`); ``replay-batch`` jobs fold the
+    traces and policy in on top
+    (:func:`repro.replay.service.replay_probe_keys`), so the same scheme
+    replayed under a different workload or policy is a distinct key.
     """
-    if job.kind in ("replay", "replay-batch"):
+    if job.kind == "replay-batch":
         from ..replay.service import replay_probe_keys
 
         return replay_probe_keys(job, library)[0]
@@ -203,7 +202,7 @@ class _Heartbeat:
         sampled = sample_self()
         if sampled is not None:
             doc.update(sampled.to_dict())
-        _write_json_atomic(self.path, doc)
+        write_text_atomic(self.path, json.dumps(doc))
 
     def start(self) -> "_Heartbeat":
         self._beat()
@@ -253,13 +252,7 @@ def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
     try:
         if payload.get("fault"):
             inject(spec_from_payload(payload["fault"]), heartbeat=heartbeat)
-        if payload.get("kind", "partition") == "replay":
-            from ..replay.service import run_replay_payload
-
-            outcome = run_replay_payload(
-                payload, started=started, tracer=worker_tracer or NULL_TRACER
-            )
-        elif payload.get("kind") == "replay-batch":
+        if payload.get("kind") == "replay-batch":
             from ..replay.service import run_replay_batch_payload
 
             outcome = run_replay_batch_payload(
@@ -311,21 +304,6 @@ def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
             heartbeat.stop()
 
 
-def _write_json_atomic(path: Path, doc: dict[str, Any]) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}-",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _worker_main(payload: dict[str, Any], result_path: str) -> None:
     """Supervised-process entry: run the job, spool the outcome to disk.
 
@@ -334,7 +312,7 @@ def _worker_main(payload: dict[str, Any], result_path: str) -> None:
     all (a killed/dead worker leaves nothing, which the supervisor
     treats as a worker death).
     """
-    _write_json_atomic(Path(result_path), execute_job_payload(payload))
+    write_text_atomic(result_path, json.dumps(execute_job_payload(payload)))
 
 
 @dataclass
@@ -600,14 +578,14 @@ def run_batch(
         # Replay jobs probe the replay record store (a sibling subtree
         # of the partition cache) instead of the cache itself -- in ONE
         # bulk ``probe_many`` over every member record key, so a fully
-        # cached N-trace sweep costs O(shards + segments) reads, not N
-        # file opens.  A replay/replay-batch job is a hit exactly when
+        # cached N-trace sweep costs O(segments) reads, not N file
+        # opens.  A replay-batch job is a hit exactly when
         # every one of its member records is stored.
         keyed: list[tuple[Job, str, list[str] | None]] = []
         replay_members: list[str] = []
         for job in store.pending():
             try:
-                if job.kind in ("replay", "replay-batch"):
+                if job.kind == "replay-batch":
                     from ..replay.service import replay_probe_keys
 
                     key, members = replay_probe_keys(job, library)

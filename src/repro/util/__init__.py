@@ -1,5 +1,6 @@
 """Small shared utilities."""
 
+from .atomic import write_text_atomic
 from .jsonl import JsonlError, replay_jsonl
 from .ordering import argsort_by, stable_unique
 from .validation import require, require_positive
@@ -11,4 +12,5 @@ __all__ = [
     "require",
     "require_positive",
     "stable_unique",
+    "write_text_atomic",
 ]

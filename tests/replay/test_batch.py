@@ -77,8 +77,8 @@ class TestBatchedSweepEquivalence:
         assert report.cache_hits == report.total == report.done
 
     def test_single_jobs_hit_segments_written_by_batches(self, tmp_path):
-        # Cross-layout: batched sweeps write segments, legacy one-trace
-        # jobs must still probe as hits against them.
+        # Member keys do not depend on the batch size: one-trace jobs
+        # probe as hits against segments written by wider batches.
         _, _, _ = _sweep(tmp_path, "xl", 4, 1)
         queue = JobStore(tmp_path / "q-xl2")
         cache = ResultCache(tmp_path / "c-xl")
@@ -140,13 +140,12 @@ class TestReplayBatchJob:
         key, members = replay_probe_keys(job, None)
         assert len(members) == 3 and len(set(members)) == 3
         assert key not in members
-        # The job key is order-sensitive and derived from the members.
-        single = Job(id="y", name="y", design_xml=xml, kind="replay",
-                     replay={"trace": self._doc(1)["traces"][0],
-                             "policy": self._doc(1)["policy"]})
+        # A batch of one shares its member key with wider batches.
+        single = Job(id="y", name="y", design_xml=xml, kind="replay-batch",
+                     replay=self._doc(1))
         skey, smembers = replay_probe_keys(single, None)
-        assert smembers == [skey]
-        assert smembers[0] == members[0]
+        assert skey not in smembers
+        assert smembers == members[:1]
 
     def test_batch_key_is_order_sensitive(self):
         a = replay_batch_key("p" * 64, ["t1", "t2"], POLICY_PRESETS["no-prefetch"])
@@ -166,11 +165,15 @@ class TestSubmitBatched:
         assert sizes == [1, 1, 1, 1, 2, 2, 2, 2]
         assert any("/batch0[2]/" in j.name for j in jobs)
 
-    def test_batch_size_one_is_the_legacy_submission(self, tmp_path):
+    def test_batch_size_one_submits_batches_of_one(self, tmp_path):
         store = JobStore(tmp_path / "q")
         suite = WorkloadSuite(designs=1, traces_per_design=2, length=24)
         jobs = submit_replay_suite(store, suite, POLICIES, batch_size=1)
-        assert all(j.kind == "replay" for j in jobs)
+        assert all(j.kind == "replay-batch" for j in jobs)
+        assert all(len(j.replay["traces"]) == 1 for j in jobs)
+        assert [j.name.split("/", 1)[1] for j in jobs] == [
+            f"batch{i}[1]/{policy}" for policy in POLICIES for i in (0, 1)
+        ]
 
     def test_bad_batch_size_rejected(self, tmp_path):
         from repro.replay import ReplayError
@@ -216,18 +219,18 @@ class TestSegmentStore:
         assert pa.read_bytes() == pb.read_bytes()
         assert pa.name == pb.name  # content-addressed file name
 
-    def test_probe_many_mixes_layouts_and_counts(self, tmp_path):
+    def test_probe_many_spans_segments_and_counts(self, tmp_path):
         store = ReplayResultStore(tmp_path / "replay")
-        store.put_record(self.KEYS[0], self._record(0))
+        store.put_many({self.KEYS[0]: self._record(0)})
         store.put_many({self.KEYS[1]: self._record(1)})
         missing = "cd" + "0" * 62
         present = store.probe_many(self.KEYS[:2] + [missing])
         assert present == set(self.KEYS[:2])
         assert store.hits == 2 and store.misses == 1
 
-    def test_keys_len_contains_union_both_layouts(self, tmp_path):
+    def test_keys_len_contains_union_segments(self, tmp_path):
         store = ReplayResultStore(tmp_path / "replay")
-        store.put_record(self.KEYS[0], self._record(0))
+        store.put_many({self.KEYS[0]: self._record(0)})
         store.put_many({k: self._record(i)
                         for i, k in enumerate(self.KEYS[1:3], start=1)})
         assert set(store.keys()) == set(self.KEYS[:3])

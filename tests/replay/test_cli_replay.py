@@ -123,7 +123,7 @@ class TestReplaySweep:
         def boom(payload, **kwargs):
             raise RuntimeError("synthetic replay failure")
 
-        monkeypatch.setattr(replay_service, "run_replay_payload", boom)
+        monkeypatch.setattr(replay_service, "run_replay_batch_payload", boom)
         rc = main([
             "replay", "sweep", "--queue", str(tmp_path / "q"),
             "--designs", "1", "--traces-per-design", "2",

@@ -15,6 +15,7 @@ from repro.replay import (
     comparison_key,
     iter_trace,
     render_policy_comparison,
+    replay_record,
     replay_result_key,
     replay_trace,
 )
@@ -48,7 +49,7 @@ def filled_store(tmp_path, synthetic_scheme):
                 problem_key="p" * 64, trace_key=trace_key(names, spec),
             )
             key = replay_result_key("p" * 64, trace_key(names, spec), policy)
-            store.put_result(key, result)
+            store.put_many({key: replay_record(result)})
     return store
 
 

@@ -1,12 +1,13 @@
-"""The vectorized event kernel: differential identity vs the reference.
+"""The replay fast paths: differential identity vs the reference.
 
-The vector kernel is a pure throughput optimisation, so its contract is
-absolute: for every (scheme, trace, policy) it must emit a canonical
-record byte-identical to the hand-written reference loop -- same bucket
-counts, same exact float aggregates, same retained quantile samples.
-These tests enforce that with a hypothesis differential gate over the
-full policy matrix (including the scalar fallback for stateful
-policies), plus unit pins for engine selection and the empty trace.
+``engine="auto"`` (the vector kernel for history-free policies, the
+inlined scalar loop otherwise) is a pure throughput optimisation, so
+its contract is absolute: for every (scheme, trace, policy) it must
+emit a canonical record byte-identical to the hand-written reference
+loop -- same bucket counts, same exact float aggregates, same retained
+quantile samples.  These tests enforce that with a hypothesis
+differential gate over every policy preset (so both fast paths run),
+plus unit pins for engine selection and the empty trace.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.arch.resources import ResourceVector
 from repro.core.partitioner import partition
+from repro.obs import RecordingTracer
 from repro.obs.metrics import Histogram
 from repro.replay import (
     POLICY_PRESETS,
@@ -47,7 +49,7 @@ def example_scheme():
     return partition(example_design(), ResourceVector(520, 16, 16)).scheme
 
 
-def _canonical(scheme, spec, policy, engine):
+def _canonical(scheme, spec, policy, engine="auto"):
     names = config_names(scheme.design)
     matrix = generator_matrix(names, spec)
     result = replay_trace(scheme, iter_trace(names, spec), policy,
@@ -67,31 +69,32 @@ def trace_specs(draw):
 
 class TestDifferentialGate:
     @SETTINGS
-    @given(spec=trace_specs(),
-           policy=st.sampled_from(sorted(POLICY_PRESETS)),
-           engine=st.sampled_from(["auto", "scalar", "vector"]))
-    def test_every_engine_matches_the_reference(self, example_scheme, spec,
-                                                policy, engine):
-        preset = POLICY_PRESETS[policy]
-        if engine == "vector" and not vector_eligible(preset):
-            engine = "scalar"
-        ref = _canonical(example_scheme, spec, preset, "reference")
-        assert _canonical(example_scheme, spec, preset, engine) == ref
+    @given(spec=trace_specs())
+    def test_every_engine_matches_the_reference(self, example_scheme, spec):
+        # Every preset per drawn trace: the history-free ones run the
+        # vector kernel, the stateful ones the scalar loop.
+        for preset in POLICY_PRESETS.values():
+            assert _canonical(example_scheme, spec, preset) == \
+                _canonical(example_scheme, spec, preset, "reference")
 
     @SETTINGS
     @given(spec=trace_specs(), policy=st.sampled_from(sorted(POLICY_PRESETS)))
     def test_default_engine_is_the_reference(self, example_scheme, spec,
                                              policy):
-        # The dispatcher default (auto) is what every caller gets.
+        # The dispatcher default (auto) is what every caller gets: no
+        # engine argument at all must still match the reference.
         preset = POLICY_PRESETS[policy]
-        assert _canonical(example_scheme, spec, preset, "auto") == \
+        names = config_names(example_scheme.design)
+        matrix = generator_matrix(names, spec)
+        result = replay_trace(example_scheme, iter_trace(names, spec), preset,
+                              matrix=matrix)
+        assert json.dumps(replay_record(result), sort_keys=True) == \
             _canonical(example_scheme, spec, preset, "reference")
 
 
 class TestEngineSelection:
     def test_engine_names_are_published(self):
-        assert set(REPLAY_ENGINES) == {"auto", "vector", "scalar",
-                                       "reference"}
+        assert REPLAY_ENGINES == ("auto", "reference")
 
     def test_unknown_engine_rejected(self, example_scheme):
         with pytest.raises(ReplayError):
@@ -105,12 +108,17 @@ class TestEngineSelection:
         assert not vector_eligible(POLICY_PRESETS["prefetch-oracle"])
         assert not vector_eligible(POLICY_PRESETS["evict-lru"])
 
-    def test_vector_engine_refuses_stateful_policies(self, example_scheme):
+    @pytest.mark.parametrize("policy", sorted(POLICY_PRESETS))
+    def test_auto_runs_the_vector_kernel_exactly_when_eligible(
+            self, example_scheme, policy):
+        preset = POLICY_PRESETS[policy]
         names = config_names(example_scheme.design)
-        spec = TraceSpec(environment="uniform", length=4, seed=1)
-        with pytest.raises(ReplayError):
-            replay_trace(example_scheme, iter_trace(names, spec),
-                         POLICY_PRESETS["prefetch-oracle"], engine="vector")
+        spec = TraceSpec(environment="uniform", length=16, seed=1)
+        tracer = RecordingTracer()
+        replay_trace(example_scheme, iter_trace(names, spec), preset,
+                     matrix=generator_matrix(names, spec), tracer=tracer)
+        vector_events = tracer.counters.get("replay.vector_events", 0)
+        assert vector_events == (16 if vector_eligible(preset) else 0)
 
     def test_tables_are_cached_per_scheme(self, example_scheme):
         assert tables_for(example_scheme) is tables_for(example_scheme)
@@ -119,7 +127,8 @@ class TestEngineSelection:
             self, example_scheme):
         spec = TraceSpec(environment="uniform", length=0, seed=0)
         preset = POLICY_PRESETS["evict-static"]
-        assert _canonical(example_scheme, spec, preset, "vector") == \
+        assert vector_eligible(preset)
+        assert _canonical(example_scheme, spec, preset) == \
             _canonical(example_scheme, spec, preset, "reference")
 
 

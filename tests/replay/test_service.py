@@ -12,11 +12,11 @@ from repro.replay import (
     ReplayError,
     TraceSpec,
     WorkloadSuite,
-    replay_job_key,
+    replay_probe_keys,
     replay_store_for,
+    run_replay_batch_payload,
     submit_replay_suite,
 )
-from repro.replay.service import run_replay_payload
 from repro.service import JobStore, ResultCache, run_batch
 from repro.service.jobs import Job, _spec_digest
 from repro.service.pool import job_problem_key
@@ -39,9 +39,10 @@ def payload_for(job, cache_root):
 
 
 def _replay_doc(spec=None, policy="no-prefetch"):
+    """A one-trace replay-batch spec."""
     spec = spec or TraceSpec(environment="bursty", length=40, seed=5)
     return {
-        "trace": spec.to_dict(),
+        "traces": [spec.to_dict()],
         "policy": POLICY_PRESETS[policy].to_dict(),
     }
 
@@ -60,10 +61,14 @@ class TestJobKind:
     def test_replay_job_needs_a_spec(self, tiny_design):
         xml = design_to_xml(tiny_design)
         with pytest.raises(ValueError):
-            Job(id="x", name="x", design_xml=xml, kind="replay")
+            Job(id="x", name="x", design_xml=xml, kind="replay-batch")
+        with pytest.raises(ValueError):
+            Job(id="x", name="x", design_xml=xml, kind="replay-batch",
+                replay={"traces": [{}]})
+        # The single-trace kind is gone: a trace is a batch of one.
         with pytest.raises(ValueError):
             Job(id="x", name="x", design_xml=xml, kind="replay",
-                replay={"trace": {}})
+                replay={"trace": {}, "policy": {}})
 
     def test_partition_job_rejects_replay_spec(self, tiny_design):
         with pytest.raises(ValueError):
@@ -86,48 +91,48 @@ class TestJobKind:
 
     def test_replay_digest_differs_per_policy(self, tiny_design):
         xml = design_to_xml(tiny_design)
-        a = _spec_digest(xml, None, None, "replay", _replay_doc())
-        b = _spec_digest(xml, None, None, "replay",
+        a = _spec_digest(xml, None, None, "replay-batch", _replay_doc())
+        b = _spec_digest(xml, None, None, "replay-batch",
                          _replay_doc(policy="prefetch-oracle"))
         assert a != b != _spec_digest(xml, None, None)
 
     def test_payload_carries_kind_and_replay(self, tiny_design, tmp_path):
         store = JobStore(tmp_path / "q")
         job = store.submit(name="j", design_xml=design_to_xml(tiny_design),
-                           kind="replay", replay=_replay_doc())
+                           kind="replay-batch", replay=_replay_doc())
         payload = payload_for(job, tmp_path / "cache")
-        assert payload["kind"] == "replay"
+        assert payload["kind"] == "replay-batch"
         assert payload["replay"] == job.replay
 
     def test_jobs_round_trip_through_the_log(self, tiny_design, tmp_path):
         store = JobStore(tmp_path / "q")
         store.submit(name="j", design_xml=design_to_xml(tiny_design),
-                     kind="replay", replay=_replay_doc())
+                     kind="replay-batch", replay=_replay_doc())
         again = JobStore(tmp_path / "q").jobs()[0]
-        assert again.kind == "replay"
+        assert again.kind == "replay-batch"
         assert again.replay == _replay_doc()
 
 
 class TestReplayJobKey:
     def test_key_dispatch_and_sensitivity(self, tiny_design):
         xml = design_to_xml(tiny_design)
-        job = Job(id="x", name="x", design_xml=xml, kind="replay",
+        job = Job(id="x", name="x", design_xml=xml, kind="replay-batch",
                   replay=_replay_doc())
         key = job_problem_key(job)
-        assert key == replay_job_key(job)
+        assert key == replay_probe_keys(job)[0]
         assert len(key) == 64
         partition_job = Job(id="y", name="y", design_xml=xml)
         assert key != job_problem_key(partition_job)
-        other = Job(id="z", name="z", design_xml=xml, kind="replay",
+        other = Job(id="z", name="z", design_xml=xml, kind="replay-batch",
                     replay=_replay_doc(policy="prefetch-oracle"))
         assert key != job_problem_key(other)
 
     def test_malformed_replay_spec_raises(self, tiny_design):
         job = Job(id="x", name="x", design_xml=design_to_xml(tiny_design),
-                  kind="replay", replay=_replay_doc())
-        object.__setattr__(job, "replay", {"trace": {}, "policy": {}})
+                  kind="replay-batch", replay=_replay_doc())
+        object.__setattr__(job, "replay", {"traces": [{}], "policy": {}})
         with pytest.raises((ReplayError, ValueError)):
-            replay_job_key(job)
+            replay_probe_keys(job)
 
 
 class TestRunReplayPayload:
@@ -135,17 +140,19 @@ class TestRunReplayPayload:
         cache = ResultCache(tmp_path / "cache")
         store = JobStore(tmp_path / "q")
         job = store.submit(name="j", design_xml=design_to_xml(tiny_design),
-                           kind="replay", replay=_replay_doc())
-        outcome = run_replay_payload(payload_for(job, cache.root))
+                           kind="replay-batch", replay=_replay_doc())
+        outcome = run_replay_batch_payload(payload_for(job, cache.root))
         assert outcome["ok"]
-        assert outcome["key"] == replay_job_key(job)
+        key, members = replay_probe_keys(job)
+        assert outcome["key"] == key
+        assert outcome["record_keys"] == members
         assert outcome["replay"]["policy"] == "no-prefetch"
         assert outcome["replay"]["events"] == 40
         # Layer 1: the partition result landed in the result cache.
         assert len(cache) == 1
         # Layer 2: the replay record landed in the replay store.
         replay_store = replay_store_for(cache)
-        assert replay_store.get_record(outcome["key"]) is not None
+        assert replay_store.get_record(members[0]) is not None
 
     def test_partition_cache_reused_across_policies(self, tiny_design,
                                                     tmp_path):
@@ -153,9 +160,10 @@ class TestRunReplayPayload:
         store = JobStore(tmp_path / "q")
         xml = design_to_xml(tiny_design)
         for policy in ("no-prefetch", "prefetch-oracle"):
-            job = store.submit(name=policy, design_xml=xml, kind="replay",
+            job = store.submit(name=policy, design_xml=xml,
+                               kind="replay-batch",
                                replay=_replay_doc(policy=policy))
-            run_replay_payload(payload_for(job, cache.root))
+            run_replay_batch_payload(payload_for(job, cache.root))
         # Two replay records, but the expensive search ran once.
         assert len(cache) == 1
         assert len(replay_store_for(cache)) == 2
@@ -170,8 +178,9 @@ class TestSubmitReplaySuite:
             store, suite, ["no-prefetch", "prefetch-oracle"]
         )
         assert len(jobs) == 2 * 2 * 2
-        assert all(j.kind == "replay" for j in jobs)
-        assert "/uniform[" in jobs[0].name
+        assert all(j.kind == "replay-batch" for j in jobs)
+        assert all(len(j.replay["traces"]) == 1 for j in jobs)
+        assert jobs[0].name.endswith("/batch0[1]/no-prefetch")
 
     def test_resubmission_dedupes(self, tmp_path):
         store = JobStore(tmp_path / "q")
@@ -218,9 +227,65 @@ class TestBatchIntegration:
         cache = ResultCache(tmp_path / "cache")
         xml = design_to_xml(tiny_design)
         queue.submit(name="partition", design_xml=xml)
-        queue.submit(name="replay", design_xml=xml, kind="replay",
+        queue.submit(name="replay", design_xml=xml, kind="replay-batch",
                      replay=_replay_doc())
         report = run_batch(queue, cache, workers=1)
         assert report.done == 2 and report.failed == 0
         assert len(cache) == 1
         assert len(replay_store_for(cache)) == 1
+
+
+class TestLegacyReplayJobs:
+    """Queue logs holding the retired single-trace ``replay`` kind."""
+
+    def _legacy_queue(self, tmp_path, design, spec, policy="no-prefetch"):
+        xml = design_to_xml(design)
+        replay = {"trace": spec.to_dict(),
+                  "policy": POLICY_PRESETS[policy].to_dict()}
+        digest = _spec_digest(xml, None, None, "replay", replay)
+        line = {
+            "id": f"job-00000-{digest[:8]}", "name": "legacy",
+            "design_xml": xml, "device": None, "max_candidate_sets": None,
+            "kind": "replay", "replay": replay, "spec_digest": digest,
+            "priority": 0, "submitter": "", "state": "pending",
+            "attempts": 0, "max_attempts": 2, "error": None,
+            "result_key": None, "cache_hit": False, "compute_s": None,
+            "submitted_at": 0.0, "updated_at": 0.0,
+        }
+        queue = tmp_path / "legacy-q"
+        queue.mkdir()
+        (queue / "jobs.jsonl").write_text(
+            json.dumps(line, sort_keys=True) + "\n", encoding="utf-8")
+        return queue
+
+    def test_legacy_job_drains_like_a_fresh_one_trace_sweep(self, tmp_path):
+        suite = WorkloadSuite(designs=1, traces_per_design=1, length=24,
+                              seed=3)
+        design, spec = next(suite.iter_workloads())
+        legacy = JobStore.open(self._legacy_queue(tmp_path, design, spec))
+        (job,) = legacy.jobs()
+        assert job.kind == "replay-batch"
+        assert job.replay == _replay_doc(spec)
+        legacy_cache = ResultCache(tmp_path / "legacy-cache")
+        assert run_batch(legacy, legacy_cache).done == 1
+
+        fresh = JobStore(tmp_path / "fresh-q")
+        submit_replay_suite(fresh, suite, ["no-prefetch"])
+        fresh_cache = ResultCache(tmp_path / "fresh-cache")
+        assert run_batch(fresh, fresh_cache).done == 1
+
+        def segments(cache):
+            store = replay_store_for(cache)
+            return [(p.name, p.read_bytes()) for p in store.segment_paths()]
+
+        assert segments(legacy_cache)
+        assert segments(legacy_cache) == segments(fresh_cache)
+
+    def test_resubmitting_onto_a_legacy_queue_dedupes(self, tmp_path):
+        suite = WorkloadSuite(designs=1, traces_per_design=1, length=24,
+                              seed=3)
+        design, spec = next(suite.iter_workloads())
+        queue = self._legacy_queue(tmp_path, design, spec)
+        store = JobStore(queue)
+        submit_replay_suite(store, suite, ["no-prefetch"])
+        assert len(store.jobs()) == 1

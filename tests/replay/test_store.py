@@ -1,4 +1,4 @@
-"""The replay record store: envelope, sharding, probe, corruption."""
+"""The replay record store: segment round-trip, bytes, probe, corruption."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.eval.persistence import PersistenceError
 from repro.replay import ReplayResultStore, replay_record
 from repro.replay.engine import ReplayResult
 
@@ -27,27 +26,16 @@ class TestReplayResultStore:
     def test_round_trip(self, tmp_path):
         store = ReplayResultStore(tmp_path / "replay")
         result = _result()
-        store.put_result(KEY, result)
+        store.put_many({KEY: replay_record(result)})
         again = store.get_result(KEY)
         assert again is not None
         assert replay_record(again) == replay_record(result)
 
-    def test_sharded_layout(self, tmp_path):
-        store = ReplayResultStore(tmp_path / "replay")
-        path = store.put_result(KEY, _result())
-        assert path.parent.name == KEY[:2]
-        assert path.name == f"{KEY}.json"
-
-    def test_short_key_rejected(self, tmp_path):
-        store = ReplayResultStore(tmp_path / "replay")
-        with pytest.raises(PersistenceError):
-            store.path_for("ab")
-
     def test_bytes_are_deterministic(self, tmp_path):
         a = ReplayResultStore(tmp_path / "a")
         b = ReplayResultStore(tmp_path / "b")
-        pa = a.put_result(KEY, _result())
-        pb = b.put_result(KEY, _result())
+        pa = a.put_many({KEY: replay_record(_result())})
+        pb = b.put_many({KEY: replay_record(_result())})
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_miss_returns_none_and_counts(self, tmp_path):
@@ -58,7 +46,7 @@ class TestReplayResultStore:
     def test_probe(self, tmp_path):
         store = ReplayResultStore(tmp_path / "replay")
         assert not store.probe(KEY)
-        store.put_result(KEY, _result())
+        store.put_many({KEY: replay_record(_result())})
         assert store.probe(KEY)
         assert store.hits == 1 and store.misses == 1
 
@@ -66,21 +54,21 @@ class TestReplayResultStore:
         "corrupt",
         [
             "not json at all",
-            json.dumps({"format": "wrong", "version": 1, "key": KEY,
-                        "record": {}}),
-            json.dumps({"format": "repro-replay-record", "version": 99,
-                        "key": KEY, "record": {}}),
-            json.dumps({"format": "repro-replay-record", "version": 1,
-                        "key": "mismatch", "record": {}}),
-            json.dumps({"format": "repro-replay-record", "version": 1,
-                        "key": KEY, "record": None}),
+            json.dumps({"format": "wrong", "version": 1,
+                        "records": {KEY: {}}}),
+            json.dumps({"format": "repro-replay-segment", "version": 99,
+                        "records": {KEY: {}}}),
+            json.dumps({"format": "repro-replay-segment", "version": 1,
+                        "records": None}),
+            json.dumps({"format": "repro-replay-segment", "version": 1,
+                        "records": {KEY: None}}),
         ],
     )
     def test_corrupt_entries_count_as_misses(self, tmp_path, corrupt):
         store = ReplayResultStore(tmp_path / "replay")
-        path = store.path_for(KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(corrupt, encoding="utf-8")
+        store.segment_dir().mkdir(parents=True)
+        (store.segment_dir() / "corrupt.json").write_text(
+            corrupt, encoding="utf-8")
         assert store.get_record(KEY) is None
         assert store.hits == 0 and store.misses == 1
         assert not store.probe(KEY)
@@ -88,6 +76,19 @@ class TestReplayResultStore:
     def test_keys_enumerates_stored_records(self, tmp_path):
         store = ReplayResultStore(tmp_path / "replay")
         other = "cd" + "1" * 62
-        store.put_result(KEY, _result())
-        store.put_result(other, _result("prefetch-oracle"))
+        store.put_many({KEY: replay_record(_result())})
+        store.put_many({other: replay_record(_result("prefetch-oracle"))})
         assert sorted(store.keys()) == sorted([KEY, other])
+
+    def test_per_key_files_are_not_read(self, tmp_path):
+        # Caches written before replay records moved into segments hold
+        # <root>/ab/<key>.json files; those keys miss and recompute.
+        store = ReplayResultStore(tmp_path / "replay")
+        legacy = store.root / KEY[:2] / f"{KEY}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps({
+            "format": "repro-replay-record", "version": 1, "key": KEY,
+            "record": replay_record(_result()),
+        }), encoding="utf-8")
+        assert store.get_record(KEY) is None
+        assert KEY not in store and len(store) == 0

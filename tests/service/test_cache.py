@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -88,6 +89,29 @@ class TestRoundTrip:
         assert cache.clear() == 1
         assert len(cache) == 0
         assert cache.get(key) is None
+
+
+class TestEntryBytes:
+    #: sha256 of the entry the cache wrote for ``computed`` (device
+    #: "LX30", compute_s 1.25) before its layout code was shared with
+    #: ArtifactStore.  Entries already on disk must keep hitting, so the
+    #: bytes may only change together with ENTRY_VERSION.
+    PINNED_KEY = (
+        "a42c7f5b0a48a85158c4a7e725f9c67c5aade21c8107a28de840b4775d5b0a09"
+    )
+    PINNED_SHA256 = (
+        "94f1734cc2bc684c82af8cd792036297ff2d7b6d1cccf719bb6e33fd96a26794"
+    )
+
+    def test_entry_bytes_are_pinned(self, cache, computed):
+        key, result = computed
+        assert key == self.PINNED_KEY
+        data = cache.put(key, result, device_name="LX30",
+                         compute_s=1.25).read_bytes()
+        assert len(data) == 2386
+        assert hashlib.sha256(data).hexdigest() == self.PINNED_SHA256
+        entry = ResultCache(cache.root).lookup(key)
+        assert entry is not None and entry.device_name == "LX30"
 
 
 class TestProbe:

@@ -191,7 +191,12 @@ class TestAdoptTraceProperties:
         # Re-rooting computes (start + offset) - start; for micro-second
         # spans under a large start the cancellation error exceeds
         # approx's relative default, so compare with an absolute floor.
-        assert got == pytest.approx(want, abs=1e-9)
+        # approx does not recurse into tuples, so flatten the
+        # (offset, duration) pairs for the tolerance to apply at all.
+        def flat(pairs):
+            return [x for pair in pairs for x in pair]
+
+        assert flat(got) == pytest.approx(flat(want), abs=1e-9)
         assert job_span.start_s == start
 
     def test_adoption_merges_counters_into_totals(self):

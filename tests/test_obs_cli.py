@@ -229,6 +229,50 @@ class TestObsTail:
         assert rc == 0
         assert capsys.readouterr().out == ""
 
+    def test_failed_cursor_write_keeps_the_previous_cursor(
+        self, telemetry_dir, tmp_path, capsys, monkeypatch
+    ):
+        import repro.util.atomic as atomic
+
+        cursor = tmp_path / "cursor.json"
+        assert main(["obs", "tail", telemetry_dir,
+                     "--cursor-file", str(cursor)]) == 0
+        saved = cursor.read_bytes()
+        capsys.readouterr()
+
+        real_fdopen = atomic.os.fdopen
+
+        class DiskFull:
+            """A file that takes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(
+            atomic.os, "fdopen",
+            lambda *a, **k: DiskFull(real_fdopen(*a, **k)))
+        rc = main(["obs", "tail", telemetry_dir, "--cursor-file", str(cursor)])
+        assert rc == 1
+        assert "cannot write cursor file" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert cursor.read_bytes() == saved
+        assert list(tmp_path.glob("*.tmp")) == []
+        # The intact cursor still resumes: nothing is re-emitted.
+        assert main(["obs", "tail", telemetry_dir,
+                     "--cursor-file", str(cursor)]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_bad_cursor_file_errors(self, telemetry_dir, tmp_path, capsys):
         cursor = tmp_path / "cursor.json"
         cursor.write_text("{broken", encoding="utf-8")
