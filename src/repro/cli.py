@@ -16,10 +16,9 @@ Subcommands mirror the deliverables:
 * ``replay run|sweep|compare`` -- trace-driven workload replay:
   measured reconfiguration latency under load, per serving policy
   (docs/REPLAY.md);
-* ``obs report|tail|top|runs|check|export-prom|bench-diff`` -- the
-  telemetry toolchain over durable sink directories, the live
-  follower/fleet view, the run registry, the declarative SLO gate and
-  BENCH artifacts (docs/OBSERVABILITY.md);
+* ``obs report|tail|check|bench-diff`` -- the telemetry toolchain over
+  durable sink directories: the run report, a raw record dump, the
+  declarative SLO gate and BENCH artifact diffs (docs/OBSERVABILITY.md);
 * ``render scheme|floorplan|report|bench`` -- the deterministic
   SVG/HTML rendering layer over the same inputs, with ``--check``
   drift detection and a content-addressed artifact cache
@@ -243,22 +242,6 @@ def _queue_stores(args: argparse.Namespace):
     return JobStore.open(queue), ResultCache(cache_dir)
 
 
-def _run_registry(args: argparse.Namespace):
-    """The :class:`RunRegistry` for ``--registry`` (``none`` disables).
-
-    Defaults to ``<queue>/registry`` so every batch/sweep run lands in
-    the queue's own ledger without extra flags.
-    """
-    from pathlib import Path
-
-    spec = getattr(args, "registry", None)
-    if spec and spec.lower() == "none":
-        return None
-    from .obs import RunRegistry
-
-    return RunRegistry(Path(spec) if spec else Path(args.queue) / "registry")
-
-
 def _cmd_batch_submit(args: argparse.Namespace) -> int:
     from .flow.xmlio import design_to_xml
     from .synth.generator import generate_population
@@ -347,8 +330,6 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
             heartbeat_timeout_s=args.heartbeat_timeout,
             faults=faults,
             sink=sink,
-            registry=_run_registry(args),
-            run_meta={"command": "batch run"},
         )
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -476,15 +457,7 @@ def _cmd_replay_sweep(args: argparse.Namespace) -> int:
         sink = TelemetrySink(args.telemetry_dir)
     try:
         report = run_batch(
-            store, cache, workers=args.workers, tracer=tracer, sink=sink,
-            registry=_run_registry(args),
-            run_meta={
-                "command": "replay sweep",
-                "designs": suite.designs,
-                "traces_per_design": suite.traces_per_design,
-                "policies": sorted(policies),
-                "batch_size": args.batch_size,
-            },
+            store, cache, workers=args.workers, tracer=tracer, sink=sink
         )
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -585,151 +558,27 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 def _cmd_obs_tail(args: argparse.Namespace) -> int:
     import json as _json
-    import time as _time
     from pathlib import Path
 
-    from .obs import FollowCursor, SinkError, TelemetryFollower
+    from .obs import SinkError, iter_telemetry, sink_stats
 
-    cursor = None
-    cursor_file = Path(args.cursor_file) if args.cursor_file else None
-    if cursor_file is not None and cursor_file.exists():
-        try:
-            cursor = FollowCursor.from_dict(
-                _json.loads(cursor_file.read_text(encoding="utf-8"))
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: bad cursor file: {exc}", file=sys.stderr)
-            return 1
     directory = Path(args.telemetry_dir)
-    if not directory.is_dir() and not args.follow:
+    if not directory.is_dir():
         print(f"error: not a telemetry directory: {directory}",
               file=sys.stderr)
         return 1
+    if not sink_stats(directory).segments:
+        return 0
     kinds = set(args.kind or [])
-    follower = TelemetryFollower(directory, cursor)
-
-    def emit(record: dict) -> None:
-        if not kinds or record["kind"] in kinds:
-            # The sink's own on-disk serialisation, so tail output is
-            # byte-identical to the segments it came from.
-            print(_json.dumps(record, sort_keys=True), flush=True)
-
-    status = 0
     try:
-        if not args.follow:
-            for record in follower.poll():
-                emit(record)
-        else:
-            last_news = _time.monotonic()
-            while True:
-                got = False
-                for record in follower.poll():
-                    emit(record)
-                    got = True
-                now = _time.monotonic()
-                if got:
-                    last_news = now
-                elif (
-                    args.idle_timeout is not None
-                    and now - last_news >= args.idle_timeout
-                ):
-                    break
-                _time.sleep(args.poll)
-    except KeyboardInterrupt:
-        pass
-    except SinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = 1
-    if cursor_file is not None:
-        from .util import write_text_atomic
-
-        try:
-            # Rename-atomic: a kill mid-write must leave the previous
-            # cursor, not an empty file the next resume cannot parse.
-            write_text_atomic(
-                cursor_file, _json.dumps(follower.cursor.to_dict()) + "\n"
-            )
-        except OSError as exc:
-            print(f"error: cannot write cursor file: {exc}", file=sys.stderr)
-            return 1
-    return status
-
-
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    import time as _time
-
-    from .obs import FleetView, SinkError, TelemetryFollower, render_top
-
-    follower = TelemetryFollower(args.telemetry_dir)
-    view = FleetView()
-
-    def refresh() -> str:
-        for record in follower.poll():
-            view.fold(record)
-        return render_top(view, directory=str(args.telemetry_dir))
-
-    try:
-        if args.once:
-            print(refresh())
-            return 0
-        iteration = 0
-        while True:
-            frame = refresh()
-            # ANSI clear + home keeps the frame in place like top(1).
-            print(f"\x1b[2J\x1b[H{frame}", flush=True)
-            iteration += 1
-            if args.iterations and iteration >= args.iterations:
-                return 0
-            _time.sleep(args.refresh)
-    except KeyboardInterrupt:
-        return 0
+        for record in iter_telemetry(directory):
+            if not kinds or record["kind"] in kinds:
+                # The sink's own on-disk serialisation, so tail output
+                # is byte-identical to the segments it came from.
+                print(_json.dumps(record, sort_keys=True))
     except SinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _cmd_obs_runs(args: argparse.Namespace) -> int:
-    import json as _json
-    import time as _time
-
-    from .obs import RegistryError, RunRegistry
-
-    try:
-        entries = RunRegistry(args.registry_dir).entries()
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(_json.dumps([e.to_dict() for e in entries], indent=1))
-        return 0
-    if not entries:
-        print("(no registered runs)")
-        return 0
-    for entry in entries:
-        started = (
-            _time.strftime(
-                "%Y-%m-%d %H:%M:%S", _time.gmtime(entry.started_ts)
-            )
-            if entry.started_ts is not None else "-"
-        )
-        duration = (
-            f"{entry.duration_s:.1f}s" if entry.duration_s is not None
-            else "-"
-        )
-        kinds = ",".join(entry.kinds) or "-"
-        summary = entry.summary
-        tail = ""
-        if summary:
-            tail = (
-                f"  done={summary.get('done', '-')}"
-                f" failed={summary.get('failed', '-')}"
-                f" hit={100.0 * float(summary.get('cache_hit_rate') or 0):.0f}%"
-            )
-        print(
-            f"{entry.run_id}  {entry.status:8s}  {started}  {duration:>8s}  "
-            f"{entry.jobs:4d} job(s)  {kinds}  "
-            f"cfg {entry.config_digest[:12]}{tail}"
-        )
     return 0
 
 
@@ -757,28 +606,6 @@ def _cmd_obs_check(args: argparse.Namespace) -> int:
     else:
         print(render_slo_result(result))
     return 0 if result.ok else 3
-
-
-def _cmd_obs_export_prom(args: argparse.Namespace) -> int:
-    from .obs import SinkError, export_prometheus_dir
-
-    try:
-        text = export_prometheus_dir(args.telemetry_dir, prefix=args.prefix)
-    except SinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.out:
-        from pathlib import Path
-
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote exposition to {args.out}", file=sys.stderr)
-    else:
-        print(text, end="")
-    return 0
 
 
 def _cmd_obs_bench_diff(args: argparse.Namespace) -> int:
@@ -1177,11 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the run's telemetry (events, per-job outcomes, "
         "run summary) to a durable sink directory for `repro obs`",
     )
-    p.add_argument(
-        "--registry", metavar="DIR",
-        help="run registry directory (default <queue>/registry; "
-        "'none' disables registration) -- see `repro obs runs`",
-    )
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_batch_run)
 
@@ -1278,11 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the run's telemetry (including per-job replay "
         "summaries) for `repro obs report`",
     )
-    p.add_argument(
-        "--registry", metavar="DIR",
-        help="run registry directory (default <queue>/registry; "
-        "'none' disables registration) -- see `repro obs runs`",
-    )
     _add_trace_flags(p)
     p.set_defaults(func=_cmd_replay_sweep)
 
@@ -1327,49 +1144,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_obs_report)
 
     p = obs_sub.add_parser(
-        "tail",
-        help="stream telemetry records as JSON lines, live or post-hoc",
+        "tail", help="print every telemetry record as a JSON line"
     )
     p.add_argument("telemetry_dir", metavar="DIR",
                    help="telemetry sink directory (from --telemetry-dir)")
-    p.add_argument("--follow", "-f", action="store_true",
-                   help="keep polling for new records (tail -f style)")
     p.add_argument("--kind", action="append", metavar="KIND",
                    help="only emit records of this kind; repeatable "
                    "(event, job, run, pool, resource)")
-    p.add_argument("--cursor-file", metavar="FILE",
-                   help="resume from (and persist) a follow cursor, so "
-                   "repeat invocations never re-emit records")
-    p.add_argument("--poll", type=float, default=0.2, metavar="S",
-                   help="poll period while following (default 0.2s)")
-    p.add_argument("--idle-timeout", type=float, default=None, metavar="S",
-                   help="stop following after S seconds with no new "
-                   "records (default: follow until interrupted)")
     p.set_defaults(func=_cmd_obs_tail)
-
-    p = obs_sub.add_parser(
-        "top",
-        help="refreshing fleet view (workers, in-flight jobs, rates, ETA)",
-    )
-    p.add_argument("telemetry_dir", metavar="DIR",
-                   help="telemetry sink directory (from --telemetry-dir)")
-    p.add_argument("--refresh", type=float, default=1.0, metavar="S",
-                   help="refresh period (default 1s)")
-    p.add_argument("--once", action="store_true",
-                   help="render a single frame and exit (no screen clear)")
-    p.add_argument("--iterations", type=int, default=0, metavar="N",
-                   help="stop after N refreshes (default: until Ctrl-C)")
-    p.set_defaults(func=_cmd_obs_top)
-
-    p = obs_sub.add_parser(
-        "runs", help="list the runs registered in a run-registry directory"
-    )
-    p.add_argument("registry_dir", metavar="DIR",
-                   help="run registry directory (default <queue>/registry "
-                   "for batch run / replay sweep)")
-    p.add_argument("--json", action="store_true",
-                   help="print the folded entries as a JSON array")
-    p.set_defaults(func=_cmd_obs_runs)
 
     p = obs_sub.add_parser(
         "check",
@@ -1383,19 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the verdicts as a JSON document")
     p.set_defaults(func=_cmd_obs_check)
-
-    p = obs_sub.add_parser(
-        "export-prom",
-        help="export a telemetry directory as Prometheus text exposition",
-    )
-    p.add_argument("telemetry_dir", metavar="DIR",
-                   help="telemetry sink directory (from --telemetry-dir)")
-    p.add_argument("--prefix", default=None,
-                   help="metric name prefix (default: repro_)")
-    p.add_argument("--out", metavar="FILE",
-                   help="write to FILE (a node_exporter textfile) "
-                   "instead of stdout")
-    p.set_defaults(func=_cmd_obs_export_prom)
 
     p = obs_sub.add_parser(
         "bench-diff",

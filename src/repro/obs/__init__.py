@@ -7,25 +7,12 @@ it must not import anything above :mod:`repro.obs` itself
 (:mod:`repro.util` sits below and is fair game).
 """
 
-from .export import (
-    PrometheusFormatError,
-    PrometheusMetric,
-    parse_prometheus,
-    prometheus_text,
-)
-from .follow import FollowCursor, TelemetryFollower, follow_records
 from .metrics import (
     DEFAULT_BOUNDS,
     Histogram,
     MetricsError,
     QuantileSummary,
     merge_histogram_maps,
-)
-from .registry import (
-    RegistryError,
-    RunEntry,
-    RunRegistry,
-    config_digest,
 )
 from .render import render_trace_summary, stage_summary_rows
 from .report import (
@@ -36,7 +23,6 @@ from .report import (
     aggregate_run,
     bench_diff,
     bench_timings,
-    export_prometheus_dir,
     load_bench,
     render_bench_diff,
     render_run_report,
@@ -67,7 +53,6 @@ from .slo import (
     render_slo_result,
     resolve_metric,
 )
-from .top import FleetView, WorkerView, render_top
 from .tracer import (
     NULL_TRACER,
     TRACE_FORMAT,
@@ -86,21 +71,14 @@ __all__ = [
     "BenchDiff",
     "BenchDiffError",
     "DEFAULT_BOUNDS",
-    "FleetView",
-    "FollowCursor",
     "Histogram",
     "MetricsError",
     "NULL_TRACER",
     "ProgressEvent",
-    "PrometheusFormatError",
-    "PrometheusMetric",
     "QuantileSummary",
     "RecordingTracer",
-    "RegistryError",
     "ReplayPolicyStats",
     "ResourceSample",
-    "RunEntry",
-    "RunRegistry",
     "RunReport",
     "SINK_VERSION",
     "SinkError",
@@ -112,33 +90,25 @@ __all__ = [
     "Span",
     "TRACE_FORMAT",
     "TRACE_VERSION",
-    "TelemetryFollower",
     "TelemetrySink",
     "Trace",
     "TraceError",
     "Tracer",
     "WorkerResources",
-    "WorkerView",
     "aggregate_run",
     "bench_diff",
     "bench_timings",
-    "config_digest",
     "evaluate_slo",
-    "export_prometheus_dir",
     "fold_resource_records",
-    "follow_records",
     "iter_telemetry",
     "job_resources",
     "load_bench",
     "load_slo",
     "load_telemetry",
     "merge_histogram_maps",
-    "parse_prometheus",
-    "prometheus_text",
     "render_bench_diff",
     "render_run_report",
     "render_slo_result",
-    "render_top",
     "render_trace_summary",
     "resolve_metric",
     "sample_self",

@@ -8,9 +8,7 @@ dependency-free and both **mergeable** (worker processes record locally
 and the parent folds the results together):
 
 * :class:`Histogram` -- fixed upper-bound buckets in the Prometheus
-  style (cumulative on export, so ``repro obs export-prom`` emits
-  standard ``_bucket{le=...}`` series), plus exact ``count``/``sum``/
-  ``min``/``max``;
+  style, plus exact ``count``/``sum``/``min``/``max``;
 * :class:`QuantileSummary` -- a deterministic bounded reservoir riding
   inside every histogram.  It retains every observation until
   ``max_samples``, then halves resolution (keeps every 2nd, 4th, ...
@@ -29,7 +27,7 @@ from typing import Any, Iterable, Mapping
 
 #: Default bucket upper bounds: geometric, centred on sub-second latency
 #: but wide enough for iteration counts (the summary supplies accurate
-#: percentiles regardless; buckets only shape the Prometheus exposition).
+#: percentiles regardless; buckets only shape the bucketed view).
 DEFAULT_BOUNDS: tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 25.0, 60.0, 250.0, 1000.0,
@@ -161,8 +159,7 @@ class Histogram:
 
     ``bounds`` are *upper* bucket bounds (an implicit +Inf bucket catches
     the overflow); ``bucket_counts[i]`` counts observations with
-    ``value <= bounds[i]`` (non-cumulative storage; cumulative only on
-    Prometheus export).
+    ``value <= bounds[i]`` (non-cumulative storage).
     """
 
     __slots__ = ("bounds", "bucket_counts", "summary")
@@ -283,17 +280,6 @@ class Histogram:
                 frac = (rank - (cumulative - bucket)) / bucket
                 return lower + (upper - lower) * min(max(frac, 0.0), 1.0)
         return self.maximum
-
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """(upper bound, cumulative count) pairs, +Inf last -- the
-        Prometheus ``_bucket{le=...}`` series."""
-        out = []
-        running = 0
-        for bound, bucket in zip(self.bounds, self.bucket_counts):
-            running += bucket
-            out.append((bound, running))
-        out.append((float("inf"), running + self.bucket_counts[-1]))
-        return out
 
     # -- merging ---------------------------------------------------------
     def merge(self, other: "Histogram") -> "Histogram":

@@ -557,48 +557,3 @@ def render_bench_diff(diff: BenchDiff) -> str:
     return "\n".join([f"bench-diff (threshold {100.0 * diff.threshold:.0f}%):",
                       *lines, verdict])
 
-
-def export_prometheus_dir(directory: str | Path, prefix: str | None = None) -> str:
-    """Prometheus exposition of an aggregated telemetry directory.
-
-    Adds the derived run-level series (job totals, cache hit rate,
-    latency quantile gauges) next to the raw merged tracer metrics.
-    """
-    from .export import DEFAULT_PREFIX, prometheus_text
-
-    report = aggregate_run(directory)
-    counters = dict(report.counters)
-    counters.update({
-        "report.jobs_done": report.jobs_done,
-        "report.jobs_cached": report.jobs_cached,
-        "report.jobs_failed": report.jobs_failed,
-        "report.retries": report.retries,
-        "report.timeouts": report.timeouts,
-        "report.events": report.events,
-    })
-    counters.update({
-        "report.events_dropped": report.events_dropped,
-        "report.sink_segments": report.sink_segments,
-        "report.sink_bytes": report.sink_bytes,
-        "report.sink_rotations": report.sink_rotations,
-    })
-    gauges = dict(report.gauges)
-    gauges["report.cache_hit_rate"] = report.cache_hit_rate
-    gauges["report.timeout_rate"] = report.timeout_rate
-    gauges["report.failure_rate"] = report.failure_rate
-    gauges["report.peak_in_flight"] = report.peak_in_flight
-    if report.worker_peak_rss_mb is not None:
-        gauges["report.worker_peak_rss_mb"] = report.worker_peak_rss_mb
-        gauges["report.cpu_total_s"] = report.cpu_total_s
-    if report.cpu_utilisation is not None:
-        gauges["report.cpu_utilisation"] = report.cpu_utilisation
-    for pct in (50, 90, 99):
-        value = report.latency_percentile(pct)
-        if value is not None:
-            gauges[f"report.job_latency_p{pct}_s"] = value
-    return prometheus_text(
-        counters=counters,
-        gauges=gauges,
-        histograms=report.histograms,
-        prefix=DEFAULT_PREFIX if prefix is None else prefix,
-    )

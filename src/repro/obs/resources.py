@@ -3,9 +3,8 @@
 The batch service answers "how fast" with histograms; this module is
 the "how heavy" half.  Workers sample :func:`resource.getrusage` around
 each job and ship the result back inside the outcome dict
-(``outcome["resources"]``); supervised workers additionally publish a
-*live* sample in every heartbeat file, so the parent can stream
-resource telemetry while the job still runs.
+(``outcome["resources"]``); the parent writes each one to the sink
+as a ``resource`` record.
 
 Semantics worth being precise about:
 
@@ -16,9 +15,9 @@ Semantics worth being precise about:
   is what the ``worker_peak_rss_mb`` SLO guards.
 * ``cpu_user_s``/``cpu_sys_s`` in a **job** sample are *deltas* over
   the job (end minus start), so they sum cleanly into a run's CPU
-  total.  In a **live** sample they are the process's cumulative
-  counters -- useful for liveness display, never for summation, which
-  is why report folding takes CPU only from job samples.
+  total.  Older sink directories also hold **live** samples (one per
+  heartbeat, ``live: true``) whose CPU fields are cumulative process
+  counters; report folding reads only their RSS, never their CPU.
 
 ``resource`` is POSIX-only; every entry point degrades to ``None`` /
 no-op where it is missing, so importing this module never breaks a
@@ -128,8 +127,9 @@ def fold_resource_records(
     """Fold ``kind == "resource"`` sink records into per-pid aggregates.
 
     Job samples (``live`` falsy) contribute CPU deltas and a job count;
-    every sample -- live or job -- raises the RSS high-water mark (it is
-    monotone per process, so ``max`` is exact, not an approximation).
+    every sample -- including the live heartbeat samples older sink
+    directories hold -- raises the RSS high-water mark (it is monotone
+    per process, so ``max`` is exact, not an approximation).
     """
     workers: dict[int, WorkerResources] = {}
     for record in records:

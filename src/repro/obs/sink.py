@@ -10,10 +10,12 @@ telemetry directory holds numbered segment files::
 
 Each line is one self-describing record -- ``{"v": 1, "kind": ...,
 "ts": <unix seconds>, ...}`` -- flushed per append, so a crash can tear
-at most the final line of the *newest* segment.  Loading tolerates (and
-repairs) exactly that tear via the shared
-:func:`repro.util.jsonl.replay_jsonl` discipline; damage anywhere else
-raises :class:`SinkError`.
+at most the final line of the *newest* segment.  Loading tolerates
+exactly that tear by dropping the torn line, and never writes to the
+files; only reopening a :class:`TelemetrySink` over the directory heals
+the tail (via the shared :func:`repro.util.jsonl.replay_jsonl`
+discipline) before appending.  Damage anywhere else raises
+:class:`SinkError`.
 
 Record kinds written by the batch service (docs/OBSERVABILITY.md has
 the schema table):
@@ -25,13 +27,14 @@ the schema table):
 * ``run``   -- one end-of-run summary: the ``BatchReport`` dict plus
   the tracer's counters/gauges/histograms.
 
-``repro obs report`` / ``export-prom`` aggregate these directories.
+``repro obs report`` / ``tail`` / ``check`` read these directories.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -48,6 +51,11 @@ DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 
 _SEGMENT_PREFIX = "telemetry-"
 _SEGMENT_SUFFIX = ".jsonl"
+
+
+#: Module-level decode hook -- tests monkeypatch this to prove the
+#: reader holds O(1) records, not a segment or directory at a time.
+_decode = json.loads
 
 
 class SinkError(ValueError):
@@ -95,7 +103,9 @@ class TelemetrySink:
         self.max_bytes = max_bytes
         self._clock = clock
         self.records_written = 0
-        self._attached: set[int] = set()
+        # Weak, not ``id()``-keyed: a freed tracer's id can be reused by
+        # the next one, which would then silently never be attached.
+        self._attached: weakref.WeakSet[Tracer] = weakref.WeakSet()
         existing = _segments(self.directory)
         if existing:
             # Heal a torn tail before appending to it.
@@ -137,13 +147,55 @@ class TelemetrySink:
         across several ``run_batch`` calls sharing one sink) does not
         double-write events.
         """
-        if id(tracer) in self._attached:
+        if tracer in self._attached:
             return
-        self._attached.add(id(tracer))
+        self._attached.add(tracer)
         tracer.on_progress(self._on_event)
 
     def _on_event(self, event: ProgressEvent) -> None:
         self.append("event", name=event.name, payload=dict(event.payload))
+
+
+def _validate(record: Any, where: str) -> dict[str, Any]:
+    """The per-record structural checks every loaded record must pass."""
+    if not isinstance(record, dict):
+        raise SinkError(f"{where}: telemetry record must be an object")
+    if record.get("v") != SINK_VERSION:
+        raise SinkError(
+            f"{where}: unsupported telemetry version {record.get('v')!r}"
+        )
+    if not isinstance(record.get("kind"), str):
+        raise SinkError(f"{where}: telemetry record has no kind")
+    return record
+
+
+def _iter_segment(path: Path, newest: bool) -> Iterator[dict[str, Any]]:
+    """Yield the records of one segment, decoding one line at a time.
+
+    On the ``newest`` segment a final line that is unterminated or not
+    JSON is a crash tear and is dropped.  A rotated segment was closed
+    whole long before any crash, so a tear there -- like a corrupt line
+    anywhere before the end -- raises :class:`SinkError`.
+    """
+    with path.open("rb") as fh:
+        size = path.stat().st_size
+        offset = 0
+        for line in fh:
+            where = f"{path}@{offset}"
+            offset += len(line)
+            if not line.endswith(b"\n"):
+                if newest:
+                    return
+                raise SinkError(
+                    f"{path}: rotated segment has a torn final line"
+                )
+            try:
+                record = _decode(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                if newest and offset >= size:
+                    return
+                raise SinkError(f"{where}: corrupt record: {exc}") from exc
+            yield _validate(record, where)
 
 
 def iter_telemetry(directory: str | Path) -> Iterator[dict[str, Any]]:
@@ -152,15 +204,13 @@ def iter_telemetry(directory: str | Path) -> Iterator[dict[str, Any]]:
     **Streaming**: records are decoded one line at a time and yielded
     immediately -- no segment or directory is ever materialised in
     memory, so a multi-gigabyte telemetry directory costs O(1) records
-    of working set (one pass of the same incremental reader that powers
-    :class:`~repro.obs.follow.TelemetryFollower`).
+    of working set.
 
-    Tolerates a torn final line on the newest segment (a crash
-    mid-append) -- without repairing the files, so read-only checkouts
-    and concurrent readers are safe.  A torn line in any *older* segment
-    is real corruption (rotation closed that file long before the crash)
-    and raises :class:`SinkError`, as does any structurally invalid
-    record.
+    Drops a torn final line on the newest segment (a crash mid-append)
+    without repairing the files, so read-only checkouts and concurrent
+    readers are safe.  A torn line in any *older* segment is real
+    corruption (rotation closed that file long before the crash) and
+    raises :class:`SinkError`, as does any structurally invalid record.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -168,9 +218,8 @@ def iter_telemetry(directory: str | Path) -> Iterator[dict[str, Any]]:
     segments = _segments(directory)
     if not segments:
         raise SinkError(f"no telemetry segments in {directory}")
-    from .follow import TelemetryFollower
-
-    yield from TelemetryFollower(directory).poll()
+    for path in segments:
+        yield from _iter_segment(path, newest=path == segments[-1])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Deterministic rendering layer: results and telemetry as SVG/HTML.
 
-Results and telemetry used to terminate at JSON and Prometheus text;
+Results and telemetry used to terminate at JSON and text tables;
 this package turns them into the paper's actual deliverables -- diagrams
 and dashboards -- under one strict contract (docs/REPORTING.md):
 

@@ -48,7 +48,7 @@ REPLAY_VERSION = 1
 
 #: Latency bucket bounds tuned to ICAP switch times (tens of us to
 #: hundreds of ms); the embedded quantile summary supplies the accurate
-#: percentiles, buckets shape the Prometheus/dashboard exposition.
+#: percentiles, buckets shape the dashboard's bucketed view.
 REPLAY_LATENCY_BOUNDS: tuple[float, ...] = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
     1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 1.0,

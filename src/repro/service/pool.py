@@ -49,10 +49,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.registry import RunRegistry
+from typing import Any
 
 from ..arch.library import DeviceLibrary
 from ..core.fingerprint import problem_key
@@ -183,12 +180,8 @@ class _Heartbeat:
     with no cooperation from the pipeline.  ``stop()`` silences it --
     which is also how an injected ``hang`` simulates a wedged worker.
 
-    Each beat atomically replaces the file with a live
-    :func:`~repro.obs.resources.sample_self` snapshot (cumulative CPU +
-    RSS high-water mark) -- the supervisor still watches the file's
-    mtime for staleness exactly as before, but can now also *read* the
-    beat and stream worker resources mid-job.  A reader always sees a
-    complete JSON document or the previous one, never a torn write.
+    Each beat atomically rewrites the file with the current timestamp;
+    the supervisor watches only the file's mtime for staleness.
     """
 
     def __init__(self, path: str | Path, interval_s: float):
@@ -198,11 +191,7 @@ class _Heartbeat:
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _beat(self) -> None:
-        doc: dict[str, Any] = {"ts": time.time()}
-        sampled = sample_self()
-        if sampled is not None:
-            doc.update(sampled.to_dict())
-        write_text_atomic(self.path, json.dumps(doc))
+        write_text_atomic(self.path, json.dumps({"ts": time.time()}))
 
     def start(self) -> "_Heartbeat":
         self._beat()
@@ -381,14 +370,13 @@ class BatchReport:
 
 
 class _PoolTelemetry:
-    """Occupancy gauges and resource records for one ``run_batch``.
+    """Occupancy gauges and per-job resource records for one ``run_batch``.
 
     One instance per run, shared by every drain mode.  It deduplicates
     occupancy samples (a poll loop observes the same shape thousands of
     times; only *changes* land in the sink) and keeps the tracer's
     ``service.pool_in_flight`` / ``service.pool_queue_depth`` gauges
-    current.  Everything here is best-effort display/report data -- a
-    failure to read a heartbeat file never fails the batch.
+    current.
     """
 
     def __init__(self, sink: TelemetrySink | None, tracer: Tracer):
@@ -426,31 +414,6 @@ class _PoolTelemetry:
                 "resource", job=outcome["job_id"], live=False, **resources
             )
 
-    def live(self, job_id: str, heartbeat_path: Path) -> None:
-        """Record a live heartbeat sample from a supervised worker.
-
-        Live CPU counters are cumulative (see
-        :mod:`repro.obs.resources`); they are stored as-is and report
-        folding takes CPU only from job (delta) samples.
-        """
-        if self.sink is None:
-            return
-        try:
-            doc = json.loads(heartbeat_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return
-        if not isinstance(doc, dict) or "pid" not in doc:
-            return
-        self.sink.append(
-            "resource",
-            job=job_id,
-            live=True,
-            pid=doc.get("pid"),
-            rss_peak_mb=doc.get("rss_peak_mb"),
-            cpu_user_s=doc.get("cpu_user_s"),
-            cpu_sys_s=doc.get("cpu_sys_s"),
-        )
-
 
 def _kill(process: multiprocessing.process.BaseProcess) -> None:
     """Stop a hung worker: SIGTERM, then SIGKILL if it ignores that."""
@@ -474,8 +437,6 @@ def run_batch(
     poll_s: float = DEFAULT_POLL_S,
     sink: TelemetrySink | None = None,
     collect_worker_traces: bool | None = None,
-    registry: "RunRegistry | None" = None,
-    run_meta: dict[str, Any] | None = None,
 ) -> BatchReport:
     """Drain every pending job in ``store`` through ``cache`` + pool.
 
@@ -498,14 +459,6 @@ def run_batch(
     on a private tracer and ship the spans back for re-rooting under
     this run's ``batch_run`` span; it defaults to on exactly when
     someone is looking (a recording ``tracer`` or a ``sink``).
-
-    ``registry`` registers the run in a durable
-    :class:`~repro.obs.registry.RunRegistry`: a ``start`` record before
-    any job dispatches, a ``finish`` record (status + report summary)
-    when the batch returns.  A crash between the two leaves the honest
-    ``running`` entry.  ``run_meta`` rides along in the start record,
-    and the run id stamps the end-of-run ``run`` sink record so
-    telemetry joins cleanly against the registry.
     """
     if workers < 1:
         raise ServiceError("workers must be at least 1")
@@ -545,23 +498,6 @@ def run_batch(
     initial = len(store.pending())
     pool_tele = _PoolTelemetry(sink, tracer)
 
-    run_id: str | None = None
-    if registry is not None:
-        run_id = registry.start(
-            kinds={job.kind for job in store.pending()},
-            jobs=initial,
-            workers=workers,
-            config={
-                "workers": workers,
-                "supervised": supervised,
-                "job_timeout_s": job_timeout_s,
-                "heartbeat_interval_s": heartbeat_interval_s,
-                "heartbeat_timeout_s": heartbeat_timeout_s,
-                "collect_worker_traces": collect_worker_traces,
-            },
-            telemetry=sink.directory if sink is not None else None,
-            meta=run_meta,
-        )
     if sink is not None:
         sink.append(
             "pool", phase="start", pending=initial, workers=workers,
@@ -833,8 +769,6 @@ def run_batch(
     )
     if sink is not None:
         record: dict[str, Any] = {"report": report.to_dict()}
-        if run_id is not None:
-            record["run_id"] = run_id
         if isinstance(tracer, RecordingTracer):
             trace = tracer.trace()
             record["counters"] = dict(trace.counters)
@@ -843,12 +777,6 @@ def run_batch(
                 name: h.to_dict() for name, h in trace.histograms.items()
             }
         sink.append("run", **record)
-    if registry is not None and run_id is not None:
-        registry.finish(
-            run_id,
-            status="done" if failed == 0 else "failed",
-            summary=report.to_dict(),
-        )
     return report
 
 
@@ -1079,8 +1007,6 @@ def _drain_supervised(
                             key=entry.key,
                             elapsed_s=time.perf_counter() - entry.started_perf,
                         )
-                    if pool_tele is not None:
-                        pool_tele.live(job_id, entry.heartbeat_path)
                 # Channels 3 + 4: deadline and heartbeat staleness.
                 elapsed = time.perf_counter() - entry.started_perf
                 reason = None

@@ -1,8 +1,8 @@
 """The telemetry CLI surface: ``batch run --telemetry-dir`` and the
-``obs report|export-prom|bench-diff`` toolchain, through ``main(argv)``.
+``obs report|tail|bench-diff`` toolchain, through ``main(argv)``.
 
-Exercises the ISSUE acceptance flow: drain a queue with telemetry on,
-then aggregate the directory and round-trip the Prometheus export.
+Drains a queue with telemetry on, then aggregates the directory and
+dumps it back out record for record.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.flow.xmlio import save_design
-from repro.obs import load_telemetry, parse_prometheus
+from repro.obs import load_telemetry
 
 
 @pytest.fixture
@@ -101,28 +101,6 @@ class TestObsReport:
         out = capsys.readouterr().out
         doc = json.loads(out[out.index("{"):])
         assert doc["jobs_total"] == 0 and doc["runs"] == 0
-
-
-class TestObsExportProm:
-    def test_export_parses_as_valid_exposition(self, telemetry_dir, capsys):
-        rc = main(["obs", "export-prom", telemetry_dir])
-        assert rc == 0
-        text = capsys.readouterr().out
-        families = parse_prometheus(text)
-        assert "repro_report_jobs_done_total" in families
-        assert any(f.type == "histogram" for f in families.values())
-
-    def test_export_to_file(self, telemetry_dir, tmp_path, capsys):
-        out_file = tmp_path / "repro.prom"
-        rc = main(["obs", "export-prom", telemetry_dir,
-                   "--out", str(out_file)])
-        assert rc == 0
-        parse_prometheus(out_file.read_text(encoding="utf-8"))
-
-    def test_export_missing_directory_errors(self, tmp_path, capsys):
-        rc = main(["obs", "export-prom", str(tmp_path / "absent")])
-        assert rc == 1
-        assert "error" in capsys.readouterr().err
 
 
 class TestObsBenchDiff:
@@ -216,85 +194,31 @@ class TestObsTail:
         assert lines
         assert all(json.loads(line)["kind"] == "job" for line in lines)
 
-    def test_cursor_file_resumes_without_re_emitting(
-        self, telemetry_dir, tmp_path, capsys
-    ):
-        cursor = str(tmp_path / "cursor.json")
-        rc = main(["obs", "tail", telemetry_dir, "--cursor-file", cursor])
-        assert rc == 0
-        first = capsys.readouterr().out
-        assert first.strip()
-        # Second invocation resumes at the saved cursor: nothing new.
-        rc = main(["obs", "tail", telemetry_dir, "--cursor-file", cursor])
-        assert rc == 0
-        assert capsys.readouterr().out == ""
-
-    def test_failed_cursor_write_keeps_the_previous_cursor(
-        self, telemetry_dir, tmp_path, capsys, monkeypatch
-    ):
-        import repro.util.atomic as atomic
-
-        cursor = tmp_path / "cursor.json"
-        assert main(["obs", "tail", telemetry_dir,
-                     "--cursor-file", str(cursor)]) == 0
-        saved = cursor.read_bytes()
-        capsys.readouterr()
-
-        real_fdopen = atomic.os.fdopen
-
-        class DiskFull:
-            """A file that takes half of what it is given, then fails."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                self.fh.flush()
-                raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(
-            atomic.os, "fdopen",
-            lambda *a, **k: DiskFull(real_fdopen(*a, **k)))
-        rc = main(["obs", "tail", telemetry_dir, "--cursor-file", str(cursor)])
-        assert rc == 1
-        assert "cannot write cursor file" in capsys.readouterr().err
-        monkeypatch.undo()
-        assert cursor.read_bytes() == saved
-        assert list(tmp_path.glob("*.tmp")) == []
-        # The intact cursor still resumes: nothing is re-emitted.
-        assert main(["obs", "tail", telemetry_dir,
-                     "--cursor-file", str(cursor)]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_bad_cursor_file_errors(self, telemetry_dir, tmp_path, capsys):
-        cursor = tmp_path / "cursor.json"
-        cursor.write_text("{broken", encoding="utf-8")
-        rc = main(["obs", "tail", telemetry_dir,
-                   "--cursor-file", str(cursor)])
-        assert rc == 1
-        assert "bad cursor file" in capsys.readouterr().err
-
     def test_missing_directory_errors_without_follow(self, tmp_path, capsys):
         rc = main(["obs", "tail", str(tmp_path / "ghost")])
         assert rc == 1
         assert "not a telemetry directory" in capsys.readouterr().err
 
-    def test_follow_idle_timeout_returns_after_drain(
-        self, telemetry_dir, capsys
-    ):
-        # --follow on a quiesced directory drains everything, then the
-        # idle timeout ends the loop: exit 0, full byte-identity.
-        rc = main(["obs", "tail", telemetry_dir, "--follow",
-                   "--idle-timeout", "0.2", "--poll", "0.05"])
+    def test_empty_directory_prints_nothing(self, tmp_path, capsys):
+        (tmp_path / "tele").mkdir()
+        rc = main(["obs", "tail", str(tmp_path / "tele")])
         assert rc == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert [json.loads(line) for line in lines] == load_telemetry(
-            telemetry_dir
-        )
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+
+    def test_corrupt_record_errors_after_emitting_the_good_prefix(
+        self, tmp_path, capsys
+    ):
+        from repro.obs import TelemetrySink
+
+        sink = TelemetrySink(tmp_path / "tele")
+        sink.append("event", name="a", payload={})
+        sink.append("event", name="b", payload={})
+        path = sink.segment_path
+        good = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(good[0] + "{broken\n" + good[1], encoding="utf-8")
+        rc = main(["obs", "tail", str(tmp_path / "tele")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == good[0]
+        assert "corrupt record" in captured.err

@@ -1,10 +1,4 @@
-"""The obs toolchain: run aggregation, Prometheus export, bench diff.
-
-The export tests are *round-trip* tests: everything ``prometheus_text``
-emits must survive the strict :func:`parse_prometheus` reader -- the
-guarantee that a real scraper (node_exporter textfile collector) can
-consume ``repro obs export-prom`` output.
-"""
+"""The obs toolchain: run aggregation and bench diff."""
 
 from __future__ import annotations
 
@@ -15,14 +9,10 @@ import pytest
 from repro.obs import (
     BenchDiffError,
     Histogram,
-    PrometheusFormatError,
     TelemetrySink,
     aggregate_run,
     bench_diff,
-    export_prometheus_dir,
     load_bench,
-    parse_prometheus,
-    prometheus_text,
     render_bench_diff,
     render_run_report,
 )
@@ -234,118 +224,6 @@ class TestReplaySection:
         )
         report = aggregate_run(tmp_path / "t")
         assert report.replay_policies["no-prefetch"].jobs == 1
-
-
-class TestPrometheusRoundTrip:
-    def test_counters_gauges_histograms(self):
-        h = Histogram(bounds=(0.1, 1.0))
-        for v in (0.05, 0.5, 0.5, 5.0):
-            h.observe(v)
-        text = prometheus_text(
-            counters={"service.cache_hits": 3},
-            gauges={"service.cache_hit_rate": 0.75},
-            histograms={"job.wall_s": h},
-        )
-        families = parse_prometheus(text)
-        assert families["repro_service_cache_hits_total"].type == "counter"
-        assert families["repro_service_cache_hits_total"].samples[0][2] == 3
-        assert families["repro_service_cache_hit_rate"].type == "gauge"
-        hist = families["repro_job_wall_s"]
-        assert hist.type == "histogram"
-        buckets = [
-            (labels["le"], value)
-            for name, labels, value in hist.samples
-            if name == "repro_job_wall_s_bucket"
-        ]
-        assert buckets == [("0.1", 1.0), ("1", 3.0), ("+Inf", 4.0)]
-
-    def test_empty_is_empty(self):
-        assert prometheus_text() == ""
-        assert parse_prometheus("") == {}
-
-    def test_name_sanitisation(self):
-        text = prometheus_text(counters={"merge.heap-pops/total": 1})
-        assert "repro_merge_heap_pops_total_total 1" in text
-        parse_prometheus(text)
-
-    def test_export_prometheus_dir(self, tmp_path):
-        h = Histogram(bounds=(1.0,))
-        h.observe(0.5)
-        _write_run(
-            tmp_path / "t",
-            jobs=[
-                {"job": "a", "key": "k", "status": "done", "compute_s": 1.5},
-                {"job": "b", "key": "k", "status": "cached"},
-            ],
-            counters={"service.jobs_done": 2},
-            histograms={"merge.search_s": h.to_dict()},
-        )
-        text = export_prometheus_dir(tmp_path / "t")
-        families = parse_prometheus(text)  # must be valid exposition
-        assert "repro_report_jobs_done_total" in families
-        assert "repro_report_cache_hit_rate" in families
-        assert "repro_report_job_latency_p50_s" in families
-        assert families["repro_merge_search_s"].type == "histogram"
-
-    def test_custom_prefix(self, tmp_path):
-        _write_run(tmp_path / "t", jobs=[
-            {"job": "a", "key": "k", "status": "done", "compute_s": 1.0},
-        ])
-        text = export_prometheus_dir(tmp_path / "t", prefix="acme_")
-        assert all(
-            line.split()[-2].startswith("acme_") or line.startswith("#")
-            for line in text.splitlines()
-            if line
-        )
-        parse_prometheus(text)
-
-
-class TestPrometheusParserStrictness:
-    def test_undeclared_sample_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="no TYPE"):
-            parse_prometheus("orphan_metric 1\n")
-
-    def test_malformed_type_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="TYPE"):
-            parse_prometheus("# TYPE lonely\n")
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="unknown"):
-            parse_prometheus("# TYPE m sideways\n")
-
-    def test_duplicate_type_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="duplicate"):
-            parse_prometheus("# TYPE m counter\n# TYPE m counter\n")
-
-    def test_non_numeric_value_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="non-numeric"):
-            parse_prometheus("# TYPE m gauge\nm banana\n")
-
-    def test_malformed_label_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="label"):
-            parse_prometheus('# TYPE m gauge\nm{le=0.5} 1\n')
-
-    def test_histogram_without_inf_bucket_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="Inf"):
-            parse_prometheus(
-                '# TYPE h histogram\nh_bucket{le="1"} 1\nh_count 1\n'
-            )
-
-    def test_non_cumulative_buckets_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="cumulative"):
-            parse_prometheus(
-                '# TYPE h histogram\n'
-                'h_bucket{le="1"} 5\n'
-                'h_bucket{le="+Inf"} 3\n'
-            )
-
-    def test_count_bucket_mismatch_rejected(self):
-        with pytest.raises(PrometheusFormatError, match="_count"):
-            parse_prometheus(
-                '# TYPE h histogram\n'
-                'h_bucket{le="+Inf"} 3\n'
-                'h_count 4\n'
-            )
 
 
 def _bench_doc(**timings):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.obs.sink as sink_mod
 from repro.obs import (
     SINK_VERSION,
     RecordingTracer,
@@ -110,6 +111,18 @@ class TestAttach:
         tracer.progress("tick")
         assert len(load_telemetry(sink.directory)) == 1
 
+    def test_fresh_tracer_at_a_recycled_address_is_attached(self, sink):
+        # Each tracer is freed before the next is made, so CPython may
+        # hand the next one the same address (and ``id``).  Every one of
+        # them must still reach the sink.
+        for i in range(5):
+            tracer = RecordingTracer()
+            sink.attach(tracer)
+            tracer.progress("tick", i=i)
+            del tracer
+        loaded = load_telemetry(sink.directory)
+        assert [r["payload"] for r in loaded] == [{"i": i} for i in range(5)]
+
     def test_null_tracer_attach_is_harmless(self, sink):
         from repro.obs import NULL_TRACER
 
@@ -179,10 +192,45 @@ class TestLoad:
         assert [r["name"] for r in loaded] == ["a"]
         assert path.read_bytes() == torn  # read-only: the tear remains
 
+    def test_undecodable_final_line_of_newest_segment_is_dropped(self, sink):
+        sink.append("event", name="a", payload={})
+        with sink.segment_path.open("a", encoding="utf-8") as fh:
+            fh.write("{broken\n")
+        assert [r["name"] for r in load_telemetry(sink.directory)] == ["a"]
+
+    def test_invalid_final_record_raises(self, sink):
+        # Valid JSON is never a crash tear: it must pass validation.
+        sink.append("event", name="a", payload={})
+        with sink.segment_path.open("a", encoding="utf-8") as fh:
+            fh.write('{"v": 99, "kind": "event", "ts": 0}\n')
+        with pytest.raises(SinkError, match="version"):
+            load_telemetry(sink.directory)
+
     def test_iter_is_lazy_generator(self, sink):
         sink.append("event", name="a", payload={})
         it = iter_telemetry(sink.directory)
         assert next(it)["name"] == "a"
+
+    def test_iter_decodes_one_line_at_a_time(self, tmp_path, monkeypatch):
+        sink = TelemetrySink(tmp_path / "tele", max_bytes=500)
+        for i in range(200):
+            sink.append("event", name="tick", payload={"i": i})
+        calls = {"n": 0}
+        real = sink_mod._decode
+
+        def counting(line):
+            calls["n"] += 1
+            return real(line)
+
+        monkeypatch.setattr(sink_mod, "_decode", counting)
+        it = iter_telemetry(sink.directory)
+        taken = [next(it) for _ in range(3)]
+        # Records decoded so far are bounded by records consumed, not
+        # by the 200 on disk.
+        assert calls["n"] <= len(taken) + 1
+        rest = list(it)
+        assert calls["n"] == 200
+        assert [r["payload"]["i"] for r in taken + rest] == list(range(200))
 
 
 record_fields = st.dictionaries(
@@ -236,3 +284,26 @@ def test_truncation_at_every_offset_of_the_final_record(
         appended = healed.append("event", marker=True)
         assert load_telemetry(directory)[-1] == appended
         path.write_bytes(prefix + final)  # restore for the next cut
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    sizes=st.lists(
+        st.integers(min_value=0, max_value=40), min_size=1, max_size=20
+    ),
+    max_bytes=st.sampled_from([80, 150, 400, 16 * 1024 * 1024]),
+)
+def test_rotation_across_many_segments_loads_in_append_order(
+    tmp_path_factory, sizes, max_bytes
+):
+    directory = tmp_path_factory.mktemp("tele")
+    sink = TelemetrySink(directory, max_bytes=max_bytes, clock=FakeClock())
+    appended = [
+        sink.append("event", name="tick", payload={"i": i, "pad": "x" * size})
+        for i, size in enumerate(sizes)
+    ]
+    assert load_telemetry(directory) == appended
