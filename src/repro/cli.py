@@ -28,6 +28,7 @@ Subcommands mirror the deliverables:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -576,9 +577,15 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
                 # The sink's own on-disk serialisation, so tail output
                 # is byte-identical to the segments it came from.
                 print(_json.dumps(record, sort_keys=True))
+        sys.stdout.flush()
     except SinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed the pipe (``obs tail DIR | head``): stop
+        # quietly.  Point stdout at /dev/null so the interpreter's
+        # final flush of the unsent buffer cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
@@ -974,7 +981,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_queue_flags(p)
     p.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (1 runs jobs inline unless supervised)",
+        help="worker processes on the warm pool (1 runs jobs inline "
+        "unless a timeout is set)",
     )
     p.add_argument(
         "--progress", action="store_true",
@@ -982,8 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--job-timeout", type=float, metavar="S",
-        help="per-job wall deadline in seconds; kills and re-queues "
-        "overrunning workers (engages supervised execution)",
+        help="per-job wall deadline in seconds; kills, replaces and "
+        "re-queues only the overrunning worker (supervises the pool)",
     )
     p.add_argument(
         "--heartbeat-interval", type=float, default=0.5, metavar="S",
@@ -991,8 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--heartbeat-timeout", type=float, metavar="S",
-        help="kill a worker whose heartbeat is older than S seconds "
-        "(hung-worker detection; engages supervised execution)",
+        help="kill and replace a worker whose heartbeat is older than "
+        "S seconds (hung-worker detection; supervises the pool)",
     )
     p.add_argument(
         "--inject-fault", action="append", metavar="KIND[:GLOB[:SECONDS]]",

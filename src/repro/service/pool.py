@@ -10,23 +10,22 @@ cores and never let one of them wedge the batch.
    dispatching a worker or re-running any search stage**;
 2. misses are executed in (priority desc, fair round-robin, FIFO) order
    -- the :meth:`~repro.service.jobs.JobStore.pending` schedule --
-   inline for ``workers=1`` with no supervision; on a persistent *warm*
-   process pool for plain multi-worker batches (workers survive across
-   jobs and batches, so per-process scheme caches keep paying off);
-   else one *supervised* ``multiprocessing.Process`` per job, at most
-   ``workers`` in flight;
+   inline for an unsupervised ``workers=1`` run, else on one persistent
+   *warm* pool of owned worker processes (workers survive across jobs
+   and batches, so per-process scheme caches keep paying off);
 3. a worker exception never poisons the batch: the traceback travels
    back as data, the job re-queues until its attempt cap, then lands in
    ``failed`` while every other job keeps flowing;
-4. under supervision each worker **heartbeats** (touches a per-job file
-   every ``heartbeat_interval_s``) while computing, and the parent's
-   drain loop enforces a per-job ``job_timeout_s`` deadline plus a
-   ``heartbeat_timeout_s`` staleness threshold -- a hung worker is
-   killed, its job fails with a ``timeout ...`` error and re-queues
-   until its attempt cap, and the freed slot is refilled so the batch
-   always terminates.  A worker that *dies* without reporting (OOM
-   kill, segfault) is detected the same way, without waiting for any
-   deadline.
+4. supervision is a policy on that same pool: with a ``job_timeout_s``
+   deadline or a ``heartbeat_timeout_s`` staleness threshold set, each
+   worker **heartbeats** (touches a per-job file every
+   ``heartbeat_interval_s``) while computing, and the drain loop wakes
+   every :data:`DEFAULT_POLL_S` to check both -- a hung worker is
+   killed and replaced, its job fails with a ``timeout ...`` error and
+   re-queues until its attempt cap, and every other worker runs on.  A
+   worker that *dies* without reporting (OOM kill, segfault) fails only
+   its own job, detected through its process sentinel without waiting
+   for any deadline.
 
 Deterministic fault injection for all of the above lives in
 :mod:`repro.service.faults` and threads through the worker payload --
@@ -44,10 +43,13 @@ import atexit
 import heapq
 import json
 import multiprocessing
+import sys
 import threading
 import time
 import traceback
+from contextlib import suppress
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any
 
@@ -70,10 +72,10 @@ from .problem import ResolvedProblem, resolve_problem_text
 #: Default worker beat period under supervision (seconds).
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
 
-#: Parent poll period of the supervision loop (seconds).
+#: Wake-up period of the drain loop under supervision (seconds).
 DEFAULT_POLL_S = 0.05
 
-#: Scratch space (heartbeat + result spool files) inside the queue dir.
+#: Scratch space (per-job heartbeat files) inside the queue dir.
 WORK_DIRNAME = ".work"
 
 
@@ -206,7 +208,10 @@ class _Heartbeat:
                 return
 
     def stop(self) -> None:
+        # Join so no beat lands after the job reports: the worker
+        # outlives its job, and the parent deletes the file on outcome.
         self._stopped.set()
+        self._thread.join()
 
 
 def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
@@ -293,31 +298,6 @@ def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
             heartbeat.stop()
 
 
-def _worker_main(payload: dict[str, Any], result_path: str) -> None:
-    """Supervised-process entry: run the job, spool the outcome to disk.
-
-    The outcome file is the worker's *only* report channel -- written
-    atomically, so the parent either sees a complete outcome or none at
-    all (a killed/dead worker leaves nothing, which the supervisor
-    treats as a worker death).
-    """
-    write_text_atomic(result_path, json.dumps(execute_job_payload(payload)))
-
-
-@dataclass
-class _Running:
-    """Parent-side view of one supervised in-flight worker."""
-
-    job: Job
-    key: str
-    process: multiprocessing.process.BaseProcess
-    result_path: Path
-    heartbeat_path: Path
-    started_perf: float
-    started_wall: float
-    last_beat_wall: float
-
-
 @dataclass
 class BatchReport:
     """Aggregate outcome and throughput metrics of one ``run_batch``."""
@@ -372,11 +352,11 @@ class BatchReport:
 class _PoolTelemetry:
     """Occupancy gauges and per-job resource records for one ``run_batch``.
 
-    One instance per run, shared by every drain mode.  It deduplicates
-    occupancy samples (a poll loop observes the same shape thousands of
-    times; only *changes* land in the sink) and keeps the tracer's
-    ``service.pool_in_flight`` / ``service.pool_queue_depth`` gauges
-    current.
+    One instance per run, shared by the inline and pool drains.  It
+    deduplicates occupancy samples (a supervised drain observes the same
+    shape thousands of times; only *changes* land in the sink) and keeps
+    the tracer's ``service.pool_in_flight`` /
+    ``service.pool_queue_depth`` gauges current.
     """
 
     def __init__(self, sink: TelemetrySink | None, tracer: Tracer):
@@ -415,15 +395,6 @@ class _PoolTelemetry:
             )
 
 
-def _kill(process: multiprocessing.process.BaseProcess) -> None:
-    """Stop a hung worker: SIGTERM, then SIGKILL if it ignores that."""
-    process.terminate()
-    process.join(timeout=1.0)
-    if process.is_alive():
-        process.kill()
-        process.join(timeout=5.0)
-
-
 def run_batch(
     store: JobStore,
     cache: ResultCache,
@@ -434,31 +405,29 @@ def run_batch(
     heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
     heartbeat_timeout_s: float | None = None,
     faults: FaultPlan | None = None,
-    poll_s: float = DEFAULT_POLL_S,
     sink: TelemetrySink | None = None,
-    collect_worker_traces: bool | None = None,
 ) -> BatchReport:
     """Drain every pending job in ``store`` through ``cache`` + pool.
 
     ``job_timeout_s`` is the per-job wall deadline; ``heartbeat_timeout_s``
     the staleness threshold on worker beats (beats are emitted every
-    ``heartbeat_interval_s``).  Setting either -- or injecting
-    ``faults`` (the deterministic test-only plan from
-    :mod:`repro.service.faults`, which may crash or wedge workers on
-    purpose) -- engages *supervision*: jobs run in dedicated killable
-    processes even with ``workers=1``.  Without supervision,
-    ``workers=1`` runs jobs inline in the parent (nothing can preempt
-    the caller's own thread) and ``workers>1`` runs them on a
-    persistent warm process pool that survives across batches, keeping
-    per-worker scheme caches hot (``pool.warm_hits``).
+    ``heartbeat_interval_s``).  Setting either engages *supervision*, a
+    policy on the warm worker pool: the drain loop kills and replaces a
+    worker that overruns, and jobs run on the pool even with
+    ``workers=1``.  Without supervision, ``workers=1`` runs jobs inline
+    in the parent (nothing can preempt the caller's own thread) and
+    ``workers>1`` runs them on the pool.  The pool is persistent: its
+    workers survive across batches, keeping per-worker scheme caches hot
+    (``pool.warm_hits``).  ``faults`` is the deterministic test-only plan
+    from :mod:`repro.service.faults`; a ``hang`` in it needs one of the
+    two thresholds, or nothing could ever end the batch.
 
     ``sink`` persists the run's telemetry (progress events, one ``job``
     record per outcome keyed by job id + problem key, one end-of-run
     ``run`` record) to a :class:`~repro.obs.TelemetrySink` directory.
-    ``collect_worker_traces`` makes each worker record its pipeline run
-    on a private tracer and ship the spans back for re-rooting under
-    this run's ``batch_run`` span; it defaults to on exactly when
-    someone is looking (a recording ``tracer`` or a ``sink``).
+    Whenever someone is looking (a recording ``tracer`` or a ``sink``),
+    each worker records its pipeline run on a private tracer and ships
+    the spans back for re-rooting under this run's ``batch_run`` span.
     """
     if workers < 1:
         raise ServiceError("workers must be at least 1")
@@ -466,27 +435,14 @@ def run_batch(
         raise ServiceError("job_timeout_s must be positive")
     if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
         raise ServiceError("heartbeat_timeout_s must be positive")
-    # Supervision (one killable process per job) engages only when the
-    # caller asks for something that needs it: deadlines, heartbeat
-    # staleness, or injected faults (which may crash/wedge workers on
-    # purpose).  Plain multi-worker batches instead run on a persistent
-    # *warm* pool -- workers survive across jobs and batches, so their
-    # module-level scheme caches keep paying off (pool.warm_hits).
-    supervised = (
-        job_timeout_s is not None
-        or heartbeat_timeout_s is not None
-        or bool(faults)
-    )
-    if faults and faults.has_hang and not (
-        job_timeout_s is not None or heartbeat_timeout_s is not None
-    ):
+    supervised = job_timeout_s is not None or heartbeat_timeout_s is not None
+    if faults and faults.has_hang and not supervised:
         raise ServiceError(
             "a 'hang' fault needs a job_timeout_s or heartbeat_timeout_s "
             "to ever be detected -- refusing to deadlock the batch"
         )
     tracer = tracer or NULL_TRACER
-    if collect_worker_traces is None:
-        collect_worker_traces = tracer.enabled or sink is not None
+    collect_worker_traces = tracer.enabled or sink is not None
     if sink is not None:
         sink.attach(tracer)
     started = time.perf_counter()
@@ -504,9 +460,7 @@ def run_batch(
             in_flight=0, queue_depth=initial,
         )
 
-    with tracer.span(
-        "batch_run", workers=workers, pending=initial, supervised=supervised
-    ):
+    with tracer.span("batch_run", workers=workers, pending=initial):
         # Phase 1: serve every job already answered by the cache.  A job
         # whose spec cannot even be keyed (unparseable XML, unknown
         # device) fails terminally here -- the failure is deterministic
@@ -708,35 +662,24 @@ def run_batch(
                 payload["fault"] = faults.payload_for(job.name, claimed.attempts)
             return payload
 
-        if not supervised:
-            if workers == 1:
-                while heap:
-                    _prio, _seq, job, key = heapq.heappop(heap)
-                    pool_tele.occupancy(1, len(heap))
-                    handle(execute_job_payload(payload_for(job, key)))
-                pool_tele.occupancy(0, 0)
-            else:
-                _drain_warm(
-                    heap=heap,
-                    workers=workers,
-                    payload_for=payload_for,
-                    handle=handle,
-                    pool_tele=pool_tele,
+        if workers == 1 and not supervised:
+            # Nothing to preempt: run in the caller's own process.
+            while heap:
+                _prio, _seq, job, key = heapq.heappop(heap)
+                pool_tele.occupancy(1, len(heap))
+                handle(execute_job_payload(payload_for(job, key)))
+        elif heap:
+            policy = None
+            if supervised:
+                workdir = store.directory / WORK_DIRNAME
+                workdir.mkdir(parents=True, exist_ok=True)
+                policy = _Supervision(
+                    workdir, job_timeout_s, heartbeat_interval_s,
+                    heartbeat_timeout_s,
                 )
-        else:
-            _drain_supervised(
-                heap=heap,
-                workers=workers,
-                payload_for=payload_for,
-                handle=handle,
-                store=store,
-                tracer=tracer,
-                job_timeout_s=job_timeout_s,
-                heartbeat_interval_s=heartbeat_interval_s,
-                heartbeat_timeout_s=heartbeat_timeout_s,
-                poll_s=poll_s,
-                pool_tele=pool_tele,
-            )
+            _drain(heap, workers, payload_for, handle, pool_tele, tracer,
+                   policy)
+        pool_tele.occupancy(0, 0)
 
         duration = time.perf_counter() - started
         tracer.count("service.jobs_done", hits + computed)
@@ -780,270 +723,265 @@ def run_batch(
     return report
 
 
+def _serve(conn) -> None:
+    """A pool worker's whole life: run each call the parent sends."""
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:
+            return
+        conn.send(fn(*args))
+
+
+class _Worker:
+    """One owned pool process and the parent's end of its pipe."""
+
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_serve, args=(child,), daemon=True,
+            name="repro-batch-worker",
+        )
+        self.process.start()
+        child.close()
+
+    def submit(self, fn, *args) -> "_Worker":
+        """Start ``fn(*args)`` in the worker; :meth:`result` receives it."""
+        self.conn.send((fn, args))
+        return self
+
+    def result(self) -> Any:
+        return self.conn.recv()
+
+    def stop(self, wait: bool = True) -> None:
+        """End the worker: after its current call (``wait``) or now.
+
+        The stop order travels the pipe like any call, so it needs no
+        EOF -- which a sibling forked later, holding a copy of this
+        pipe's parent end, would withhold.  Idempotent.
+        """
+        if wait:
+            with suppress(OSError):
+                self.conn.send((sys.exit, (0,)))
+        else:
+            self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+class _Pool:
+    """A fixed number of owned, persistent worker processes.
+
+    Unlike a ``ProcessPoolExecutor``, one worker can be killed and
+    replaced without breaking the others, so supervision can preempt a
+    single job while every other job in flight runs on.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.workers = [_Worker() for _ in range(size)]
+        self._turn = 0
+
+    def submit(self, fn, *args) -> _Worker:
+        """Send a call to the next worker in turn (``Executor`` style)."""
+        worker = self.workers[self._turn % len(self.workers)]
+        self._turn += 1
+        return worker.submit(fn, *args)
+
+    def replace(self, worker: _Worker) -> _Worker:
+        """Kill ``worker`` and fork a fresh one into its slot."""
+        worker.stop(wait=False)
+        fresh = _Worker()
+        self.workers[self.workers.index(worker)] = fresh
+        return fresh
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop every worker (see :meth:`_Worker.stop`).  Idempotent."""
+        for worker in self.workers:
+            worker.stop(wait)
+
+
 #: Persistent warm batch pools, cached per worker count.  Workers
 #: survive across jobs *and* ``run_batch`` calls, which is what lets the
 #: replay service's module-level scheme cache keep paying off
 #: (``pool.warm_hits``) fleet-wide.
-_WARM_EXECUTORS: dict[int, Any] = {}
+_WARM_EXECUTORS: dict[int, _Pool] = {}
 
 
-def _warm_executor(workers: int):
+def _warm_executor(workers: int) -> _Pool:
     executor = _WARM_EXECUTORS.get(workers)
     if executor is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=workers)
-        _WARM_EXECUTORS[workers] = executor
+        executor = _WARM_EXECUTORS[workers] = _Pool(workers)
     return executor
 
 
 def _retire_warm_executor(workers: int) -> None:
     executor = _WARM_EXECUTORS.pop(workers, None)
     if executor is not None:
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-
-def _drain_warm(heap, workers, payload_for, handle, pool_tele=None) -> None:
-    """Unsupervised multi-worker drain on the persistent warm pool.
-
-    At most ``workers`` jobs in flight; each completion refills the
-    slot (and may push a retry back onto ``heap`` via ``handle``).  A
-    broken pool (a worker killed hard, e.g. by the OOM killer) fails
-    every in-flight job -- their attempt caps still apply, so they
-    re-queue like any other failure -- and the pool is rebuilt before
-    the drain continues, so one dead worker never strands the batch.
-    """
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    in_flight: dict[Any, tuple[str, float]] = {}
-
-    def fail(job_id: str, started_perf: float, error: str) -> None:
-        handle({
-            "job_id": job_id,
-            "ok": False,
-            "error": error,
-            "compute_s": time.perf_counter() - started_perf,
-        })
-
-    while heap or in_flight:
-        executor = _warm_executor(workers)
-        while heap and len(in_flight) < workers:
-            _prio, _seq, job, key = heapq.heappop(heap)
-            started_perf = time.perf_counter()
-            try:
-                future = executor.submit(
-                    execute_job_payload, payload_for(job, key)
-                )
-            except BrokenProcessPool:
-                _retire_warm_executor(workers)
-                fail(
-                    job.id, started_perf,
-                    "warm worker pool broke before dispatch; pool rebuilt",
-                )
-                executor = _warm_executor(workers)
-                continue
-            in_flight[future] = (job.id, started_perf)
-        if pool_tele is not None:
-            pool_tele.occupancy(len(in_flight), len(heap))
-        if not in_flight:
-            continue
-        done, _pending = wait(set(in_flight), return_when=FIRST_COMPLETED)
-        broken = False
-        for future in done:
-            job_id, started_perf = in_flight.pop(future)
-            try:
-                outcome = future.result()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BrokenProcessPool:
-                broken = True
-                fail(
-                    job_id, started_perf,
-                    "worker process died without reporting (warm pool broke)",
-                )
-            except BaseException:
-                fail(job_id, started_perf, traceback.format_exc())
-            else:
-                handle(outcome)
-        if broken:
-            # The executor is unusable; every remaining in-flight
-            # future fails with it.  Fail them now (their retries go
-            # back on the heap) and start the next round on a fresh
-            # pool.
-            for job_id, started_perf in in_flight.values():
-                fail(
-                    job_id, started_perf,
-                    "worker process died without reporting (warm pool broke)",
-                )
-            in_flight.clear()
-            _retire_warm_executor(workers)
-    if pool_tele is not None:
-        pool_tele.occupancy(0, 0)
+        executor.shutdown(wait=False)
 
 
 def _shutdown_warm_executors() -> None:
     while _WARM_EXECUTORS:
-        workers, _executor = next(iter(_WARM_EXECUTORS.items()))
-        _retire_warm_executor(workers)
+        _retire_warm_executor(next(iter(_WARM_EXECUTORS)))
 
 
 atexit.register(_shutdown_warm_executors)
 
 
-def _drain_supervised(
-    heap,
-    workers,
-    payload_for,
-    handle,
-    store,
-    tracer,
-    job_timeout_s,
-    heartbeat_interval_s,
-    heartbeat_timeout_s,
-    poll_s,
-    pool_tele=None,
-) -> None:
-    """The supervised drain loop: one killable process per job.
+@dataclass
+class _Flight:
+    """Parent-side view of the job one busy worker is running."""
 
-    At most ``workers`` processes run at once; each slot is refilled the
-    moment its worker reports, dies or is killed, so the loop terminates
-    whenever every job reaches a terminal state -- a hung worker cannot
-    stall it.  Detection channels, checked every ``poll_s``:
+    job: Job
+    key: str
+    started_perf: float
+    started_wall: float
+    heartbeat_path: Path | None = None
+    last_beat_wall: float = field(init=False)
 
-    * an outcome spool file -- the worker finished (ok or not);
-    * a dead process with no outcome -- the worker crashed hard;
-    * ``job_timeout_s`` exceeded -- the job overran its deadline;
-    * no heartbeat for ``heartbeat_timeout_s`` -- the worker is wedged
-      (detected well before a generous deadline would fire).
+    def __post_init__(self) -> None:
+        self.last_beat_wall = self.started_wall
+
+
+@dataclass(frozen=True)
+class _Supervision:
+    """The deadline and heartbeat policy the drain loop applies."""
+
+    workdir: Path
+    job_timeout_s: float | None
+    heartbeat_interval_s: float
+    heartbeat_timeout_s: float | None
+
+    def arm(self, payload: dict[str, Any], flight: _Flight) -> None:
+        """Make the job's worker beat into a fresh per-job file."""
+        flight.heartbeat_path = self.workdir / f"{flight.job.id}.heartbeat"
+        flight.heartbeat_path.unlink(missing_ok=True)
+        payload["heartbeat_path"] = str(flight.heartbeat_path)
+        payload["heartbeat_interval_s"] = self.heartbeat_interval_s
+
+    def overdue(self, flight: _Flight, tracer: Tracer) -> str | None:
+        """Why the flight's worker must be killed now, or ``None``."""
+        assert flight.heartbeat_path is not None
+        elapsed = time.perf_counter() - flight.started_perf
+        try:
+            beat = flight.heartbeat_path.stat().st_mtime
+        except OSError:
+            beat = flight.last_beat_wall
+        if beat > flight.last_beat_wall:
+            flight.last_beat_wall = beat
+            if tracer.enabled:
+                tracer.progress(
+                    "batch.heartbeat", job=flight.job.id, key=flight.key,
+                    elapsed_s=elapsed,
+                )
+        if self.job_timeout_s is not None and elapsed > self.job_timeout_s:
+            return f"deadline {self.job_timeout_s:g}s exceeded"
+        stale = time.time() - flight.last_beat_wall
+        if (
+            self.heartbeat_timeout_s is not None
+            and stale > self.heartbeat_timeout_s
+        ):
+            return (
+                f"no heartbeat for {stale:.2f}s "
+                f"(threshold {self.heartbeat_timeout_s:g}s)"
+            )
+        return None
+
+
+def _drain(heap, workers, payload_for, handle, pool_tele, tracer,
+           policy: _Supervision | None) -> None:
+    """The one multi-process drain loop, on the warm pool of ``workers``.
+
+    Every idle worker takes the next job off ``heap``; every outcome
+    frees its worker for the next one (``handle`` may push a retry back
+    onto ``heap``).  The loop waits on the busy workers' pipes and
+    process sentinels: with no ``policy`` it blocks until one reports
+    or dies; under a policy it also wakes every :data:`DEFAULT_POLL_S`
+    and kills and replaces each worker the policy finds overdue.  A
+    worker that dies unprompted fails only its own job and is replaced
+    before its slot is used again.
     """
-    ctx = multiprocessing.get_context()
-    workdir = store.directory / WORK_DIRNAME
-    workdir.mkdir(parents=True, exist_ok=True)
-    running: dict[str, _Running] = {}
-
-    def spawn(job: Job, key: str) -> None:
-        payload = payload_for(job, key)
-        result_path = workdir / f"{job.id}.outcome.json"
-        heartbeat_path = workdir / f"{job.id}.heartbeat"
-        result_path.unlink(missing_ok=True)
-        heartbeat_path.unlink(missing_ok=True)
-        payload["heartbeat_path"] = str(heartbeat_path)
-        payload["heartbeat_interval_s"] = heartbeat_interval_s
-        process = ctx.Process(
-            target=_worker_main,
-            args=(payload, str(result_path)),
-            daemon=True,
-            name=f"repro-batch-{job.id}",
-        )
-        process.start()
-        now = time.time()
-        running[job.id] = _Running(
-            job=job,
-            key=key,
-            process=process,
-            result_path=result_path,
-            heartbeat_path=heartbeat_path,
-            started_perf=time.perf_counter(),
-            started_wall=now,
-            last_beat_wall=now,
-        )
-
-    def retire(entry: _Running) -> None:
-        entry.result_path.unlink(missing_ok=True)
-        entry.heartbeat_path.unlink(missing_ok=True)
-
+    pool = _warm_executor(workers)
+    busy: dict[_Worker, _Flight] = {}
     try:
-        while heap or running:
-            while heap and len(running) < workers:
+        while heap or busy:
+            for worker in list(pool.workers):
+                if not heap:
+                    break
+                if worker in busy:
+                    continue
+                if not worker.process.is_alive():
+                    worker = pool.replace(worker)
                 _prio, _seq, job, key = heapq.heappop(heap)
-                spawn(job, key)
-            if pool_tele is not None:
-                pool_tele.occupancy(len(running), len(heap))
-
-            time.sleep(poll_s)
-            now_wall = time.time()
-            for job_id, entry in list(running.items()):
-                # Channel 1: the worker reported an outcome.
-                if entry.result_path.exists():
-                    outcome = json.loads(
-                        entry.result_path.read_text(encoding="utf-8")
-                    )
-                    entry.process.join(timeout=5.0)
-                    if entry.process.is_alive():  # pragma: no cover
-                        _kill(entry.process)
-                    retire(entry)
-                    del running[job_id]
-                    handle(outcome)
+                payload = payload_for(job, key)
+                flight = _Flight(job, key, time.perf_counter(), time.time())
+                if policy is not None:
+                    policy.arm(payload, flight)
+                # A worker that died since the liveness check fails the
+                # send; its sentinel then reports the death like any other.
+                with suppress(OSError):
+                    worker.submit(execute_job_payload, payload)
+                busy[worker] = flight
+            pool_tele.occupancy(len(busy), len(heap))
+            ready = set(wait(
+                [w.conn for w in busy] + [w.process.sentinel for w in busy],
+                timeout=None if policy is None else DEFAULT_POLL_S,
+            ))
+            for worker, flight in list(busy.items()):
+                if worker.conn in ready or worker.process.sentinel in ready:
+                    outcome = _collect(worker, flight, pool)
+                elif policy is not None:
+                    reason = policy.overdue(flight, tracer)
+                    if reason is None:
+                        continue
+                    pool.replace(worker)
+                    outcome = _timeout(flight, reason, tracer)
+                else:
                     continue
-                # Channel 2: the worker died without reporting.
-                if not entry.process.is_alive():
-                    retire(entry)
-                    del running[job_id]
-                    handle({
-                        "job_id": job_id,
-                        "ok": False,
-                        "error": (
-                            "worker process died without reporting "
-                            f"(exit code {entry.process.exitcode})"
-                        ),
-                        "compute_s": time.perf_counter() - entry.started_perf,
-                    })
-                    continue
-                # Observe heartbeats (and surface them to the tracer).
-                try:
-                    beat = entry.heartbeat_path.stat().st_mtime
-                except OSError:
-                    beat = entry.started_wall
-                if beat > entry.last_beat_wall:
-                    entry.last_beat_wall = beat
-                    if tracer.enabled:
-                        tracer.progress(
-                            "batch.heartbeat",
-                            job=job_id,
-                            key=entry.key,
-                            elapsed_s=time.perf_counter() - entry.started_perf,
-                        )
-                # Channels 3 + 4: deadline and heartbeat staleness.
-                elapsed = time.perf_counter() - entry.started_perf
-                reason = None
-                if job_timeout_s is not None and elapsed > job_timeout_s:
-                    reason = f"deadline {job_timeout_s:g}s exceeded"
-                elif (
-                    heartbeat_timeout_s is not None
-                    and now_wall - entry.last_beat_wall > heartbeat_timeout_s
-                ):
-                    reason = (
-                        f"no heartbeat for {now_wall - entry.last_beat_wall:.2f}s "
-                        f"(threshold {heartbeat_timeout_s:g}s)"
-                    )
-                if reason is None:
-                    continue
-                _kill(entry.process)
-                retire(entry)
-                del running[job_id]
-                if tracer.enabled:
-                    tracer.progress(
-                        "batch.job_timeout",
-                        job=job_id,
-                        key=entry.key,
-                        reason=reason,
-                        elapsed_s=elapsed,
-                    )
-                handle({
-                    "job_id": job_id,
-                    "ok": False,
-                    "error": f"timeout after {elapsed:.2f}s: {reason}",
-                    "compute_s": elapsed,
-                    "timeout": True,
-                })
-        if pool_tele is not None:
-            pool_tele.occupancy(0, 0)
+                del busy[worker]
+                if flight.heartbeat_path is not None:
+                    flight.heartbeat_path.unlink(missing_ok=True)
+                handle(outcome)
     finally:
-        # Never leak workers, whatever interrupted the drain.
-        for entry in running.values():
-            _kill(entry.process)
-            retire(entry)
+        if busy:
+            # Interrupted with jobs in flight: never leak a busy worker
+            # into the next batch.
+            _retire_warm_executor(workers)
+            for flight in busy.values():
+                if flight.heartbeat_path is not None:
+                    flight.heartbeat_path.unlink(missing_ok=True)
+
+
+def _collect(worker: _Worker, flight: _Flight, pool: _Pool) -> dict[str, Any]:
+    """A ready worker's outcome -- or its death, which replaces it."""
+    with suppress(EOFError, OSError):
+        if worker.conn.poll():
+            return worker.result()
+    worker.process.join(timeout=5.0)
+    exitcode = worker.process.exitcode
+    pool.replace(worker)
+    return {
+        "job_id": flight.job.id,
+        "ok": False,
+        "error": (
+            f"worker process died without reporting (exit code {exitcode})"
+        ),
+        "compute_s": time.perf_counter() - flight.started_perf,
+    }
+
+
+def _timeout(flight: _Flight, reason: str, tracer: Tracer) -> dict[str, Any]:
+    """The outcome of a killed, overdue attempt."""
+    elapsed = time.perf_counter() - flight.started_perf
+    if tracer.enabled:
+        tracer.progress(
+            "batch.job_timeout", job=flight.job.id, key=flight.key,
+            reason=reason, elapsed_s=elapsed,
+        )
+    return {
+        "job_id": flight.job.id,
+        "ok": False,
+        "error": f"timeout after {elapsed:.2f}s: {reason}",
+        "compute_s": elapsed,
+        "timeout": True,
+    }

@@ -1,7 +1,7 @@
 """Rename-atomic file replacement, shared by every on-disk store.
 
-The result cache, the artifact and replay stores, worker heartbeats and
-outcome spools, and the ``obs tail`` cursor all replace whole files.
+The result cache, the artifact and replay stores, worker heartbeats
+and the ``obs tail`` cursor all replace whole files.
 Writing a sibling temp file and renaming it over the target means a
 reader (or a process restarted after a crash) sees either the previous
 file or the new one, never a truncated mix.  This is the one place the

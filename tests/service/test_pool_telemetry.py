@@ -108,20 +108,6 @@ class TestWorkerTracePropagation:
         report = run_batch(store, ResultCache(tmp_path / "c"), workers=1)
         assert report.done == 3  # no tracer, no sink: nothing to collect
 
-    def test_collect_can_be_forced_off(self, tmp_path):
-        store = JobStore.open(tmp_path / "q")
-        submit_three(store)
-        tracer = RecordingTracer()
-        run_batch(
-            store,
-            ResultCache(tmp_path / "c"),
-            workers=2,
-            tracer=tracer,
-            collect_worker_traces=False,
-        )
-        (batch_span,) = tracer.trace().find("batch_run")
-        assert batch_span.find("job") == []  # no adopted worker spans
-
     def test_failed_job_trace_is_still_adopted(self, tmp_path):
         store = JobStore.open(tmp_path / "q")
         # 90k CLBs fits no library device: the worker raises mid-pipeline.

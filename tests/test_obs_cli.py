@@ -206,6 +206,33 @@ class TestObsTail:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == ""
 
+    def test_reader_closing_the_pipe_ends_quietly(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.obs import TelemetrySink
+
+        # Far more than a pipe buffer, so tail is still writing when
+        # the reader goes away (``obs tail DIR | head -1``).
+        sink = TelemetrySink(tmp_path / "tele")
+        for i in range(3000):
+            sink.append("event", name=f"e{i}", payload={"pad": "x" * 64})
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "obs", "tail",
+             str(tmp_path / "tele")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert json.loads(first)["name"] == "e0"
+        assert err == b""
+
     def test_corrupt_record_errors_after_emitting_the_good_prefix(
         self, tmp_path, capsys
     ):
