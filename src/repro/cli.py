@@ -519,22 +519,9 @@ def _cmd_replay_compare(args: argparse.Namespace) -> int:
 
     key = artifact_key(comparison_key(comparison.keys), "replay")
 
-    def compute() -> str:
-        return render_replay_html(comparison)
-
-    if args.artifact_cache:
-        from .service import ArtifactStore
-
-        astore = ArtifactStore(args.artifact_cache)
-        text = astore.get(key)
-        if text is None:
-            text = compute()
-            astore.put(key, text)
-            print(f"artifact cache miss: stored {key[:12]}", file=sys.stderr)
-        else:
-            print(f"artifact cache hit: {key[:12]}", file=sys.stderr)
-    else:
-        text = compute()
+    text = _cached_render(
+        args.artifact_cache, key, lambda: render_replay_html(comparison)
+    )
     return _finish_render(args, text)
 
 
@@ -663,13 +650,13 @@ def _render_problem(design_arg: str, device_name: str | None):
     return problem.design, problem.capacity, problem.device
 
 
-def _cached_render(args: argparse.Namespace, key: str, compute) -> str:
-    """``compute()`` through the artifact cache when --cache was given."""
-    if not getattr(args, "cache", None):
+def _cached_render(directory: str | None, key: str, compute) -> str:
+    """``compute()`` through the artifact cache in ``directory``, if any."""
+    if not directory:
         return compute()
     from .service import ArtifactStore
 
-    store = ArtifactStore(args.cache)
+    store = ArtifactStore(directory)
     text = store.get(key)
     if text is None:
         text = compute()
@@ -735,7 +722,7 @@ def _cmd_render_scheme(args: argparse.Namespace) -> int:
         return render_scheme_svg(partition(design, capacity))
 
     try:
-        text = _cached_render(args, key, compute)
+        text = _cached_render(args.cache, key, compute)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -770,7 +757,7 @@ def _cmd_render_floorplan(args: argparse.Namespace) -> int:
         return render_floorplan_svg(plan)
 
     try:
-        text = _cached_render(args, key, compute)
+        text = _cached_render(args.cache, key, compute)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,32 +28,31 @@ dispatch, scheme resolution and store IO N x.  Member records keep
 their individual keys, so sweeps at any batch size fill and hit the
 same store.
 
-Workers stay *warm*: resolved partition results are kept in a
-module-level LRU keyed by partition problem key, so a persistent
-worker process replaying many traces of one design deserialises the
-scheme once, not once per job (``pool.warm_hits`` counts the reuses).
+The partition half runs through the batch service's one partition
+step, :func:`repro.service.problem.partition_cached`, exactly as a
+``partition`` job's does: the worker payload carries the partition key
+computed in phase 1, the worker reads the scheme from the result cache,
+and only a miss parses the XML and searches.  No scheme or key is
+memoised per process, so a job's outcome never depends on what its
+worker ran before.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..arch.library import DeviceLibrary
-from ..core.partitioner import (
-    PartitionerOptions,
-    PartitionResult,
-    partition,
-    partition_with_device_selection,
-)
+from ..core.model import PRDesign
+# Re-exported: outside instrumentation (perfbench/tracing.py) wraps the
+# device-selection entry point under this module's name too.
+from ..core.partitioner import partition_with_device_selection  # noqa: F401
 from ..flow.xmlio import design_to_xml
 from ..obs import NULL_TRACER, Tracer
 from ..service.cache import ResultCache
 from ..service.jobs import Job, JobStore
-from ..service.problem import resolve_problem_text
+from ..service.problem import partition_cached, resolve_problem_text
 from .engine import (
     ReplayError,
     ReplayResult,
@@ -70,54 +69,6 @@ from .trace import TraceSpec, WorkloadSuite, config_names, generator_matrix, ite
 #: out of the cache's own shard tree so ``ResultCache.keys()`` never
 #: sees a replay entry.
 REPLAY_STORE_DIRNAME = "replay"
-
-#: Cap of the per-process warm scheme cache (resolved partition results
-#: keyed by partition problem key).  Schemes are small relative to the
-#: traces replayed against them; the cap only bounds pathological
-#: many-design single-process sweeps.
-WARM_SCHEME_LIMIT = 64
-
-#: partition key -> (PartitionResult, device name), most recent last.
-_WARM_SCHEMES: "OrderedDict[str, tuple[PartitionResult, str | None]]" = (
-    OrderedDict()
-)
-
-#: (xml sha256, device, max_candidate_sets) -> (partition key, config
-#: names).  A sweep keys the same design once per policy in phase 1 and
-#: once more in the worker; the memo collapses those repeat XML parses.
-#: Only populated for the default library -- a caller-supplied library
-#: changes the key of auto-select problems.
-_KEY_MEMO_LIMIT = 256
-_KEY_MEMO: "OrderedDict[tuple, tuple[str, tuple[str, ...]]]" = OrderedDict()
-
-
-def _problem_key_names(
-    design_xml: str,
-    device: str | None,
-    max_candidate_sets: int | None,
-    library: DeviceLibrary | None,
-) -> tuple[str, tuple[str, ...]]:
-    """(partition problem key, configuration names) of one design spec."""
-    from ..service.pool import partition_problem_key_resolved
-
-    memo_key = None
-    if library is None:
-        digest = hashlib.sha256(design_xml.encode("utf-8")).hexdigest()
-        memo_key = (digest, device, max_candidate_sets)
-        hit = _KEY_MEMO.get(memo_key)
-        if hit is not None:
-            _KEY_MEMO.move_to_end(memo_key)
-            return hit
-    problem = resolve_problem_text(design_xml, device, library)
-    out = (
-        partition_problem_key_resolved(problem, max_candidate_sets),
-        config_names(problem.design),
-    )
-    if memo_key is not None:
-        _KEY_MEMO[memo_key] = out
-        while len(_KEY_MEMO) > _KEY_MEMO_LIMIT:
-            _KEY_MEMO.popitem(last=False)
-    return out
 
 
 def replay_store_for(cache: ResultCache) -> ReplayResultStore:
@@ -145,24 +96,36 @@ def _replay_batch_docs(
     )
 
 
-def replay_probe_keys(
-    job: Job, library: DeviceLibrary | None = None
+def replay_keys(
+    job: Job, partition_key: str, design: PRDesign
 ) -> tuple[str, list[str]]:
     """``(job key, member record keys)`` of a replay-batch job.
 
-    One XML parse covers both halves (the problem key and the trace
-    keys).  The job key is :func:`~repro.replay.engine.replay_batch_key`
-    while the members are the per-trace record keys -- phase 1 of the
-    batch runner declares the job cached exactly when **every** member
-    has a stored record.
+    ``partition_key`` and ``design`` are the job's already-resolved
+    partitioning problem.  The job key is
+    :func:`~repro.replay.engine.replay_batch_key` while the members are
+    the per-trace record keys -- phase 1 of the batch runner declares
+    the job cached exactly when **every** member has a stored record.
     """
-    partition_key, names = _problem_key_names(
-        job.design_xml, job.device, job.max_candidate_sets, library
-    )
+    names = config_names(design)
     specs, policy = _replay_batch_docs(job.replay)
     tkeys = [trace_key(names, spec) for spec in specs]
     members = [replay_result_key(partition_key, tk, policy) for tk in tkeys]
     return replay_batch_key(partition_key, tkeys, policy), members
+
+
+def replay_probe_keys(
+    job: Job, library: DeviceLibrary | None = None
+) -> tuple[str, list[str]]:
+    """:func:`replay_keys` of a job, resolving its problem first.
+
+    One XML parse covers both halves (the problem key and the trace
+    keys).
+    """
+    problem = resolve_problem_text(job.design_xml, job.device, library)
+    return replay_keys(
+        job, problem.key(job.max_candidate_sets), problem.design
+    )
 
 
 def replay_summary(result: ReplayResult) -> dict[str, Any]:
@@ -181,69 +144,6 @@ def replay_summary(result: ReplayResult) -> dict[str, Any]:
         "icap_utilisation": result.icap_utilisation,
         "latency": result.latency.to_dict(),
     }
-
-
-def _partition_for(
-    payload: Mapping[str, Any],
-    cache: ResultCache,
-    t0: float,
-    tracer: Tracer = NULL_TRACER,
-) -> tuple[str, PartitionResult, str | None]:
-    """Resolve the payload's partition half, warm-cache first.
-
-    Three layers, cheapest first: the module-level warm LRU (a
-    persistent worker re-serving a design it has seen skips even the
-    cache-entry deserialisation -- counted as ``pool.warm_hits``), then
-    the on-disk :class:`~repro.service.cache.ResultCache`, then the
-    actual partitioning search (cached for everyone afterwards).  The
-    warm path still guarantees the cache entry exists, so cross-process
-    lookups never depend on which worker computed the scheme.
-    """
-    partition_key, _names = _problem_key_names(
-        payload["design_xml"],
-        payload["device"],
-        payload["max_candidate_sets"],
-        payload.get("library"),
-    )
-    warm = _WARM_SCHEMES.get(partition_key)
-    if warm is not None:
-        _WARM_SCHEMES.move_to_end(partition_key)
-        result, device_name = warm
-        tracer.count("pool.warm_hits", 1)
-        if partition_key not in cache:
-            cache.put(partition_key, result, device_name=device_name)
-        return partition_key, result, device_name
-    cached = cache.lookup(partition_key)
-    if cached is not None:
-        result, device_name = cached.result, cached.device_name
-    else:
-        problem = resolve_problem_text(
-            payload["design_xml"], payload["device"], payload.get("library")
-        )
-        options = PartitionerOptions(
-            max_candidate_sets=payload["max_candidate_sets"]
-        )
-        if problem.device is not None:
-            assert problem.capacity is not None
-            result = partition(
-                problem.design, problem.capacity, options, tracer=tracer
-            )
-            device_name = problem.device.name
-        else:
-            selected = partition_with_device_selection(
-                problem.design, problem.library, options, tracer=tracer
-            )
-            result, device_name = selected.result, selected.device.name
-        cache.put(
-            partition_key,
-            result,
-            device_name=device_name,
-            compute_s=time.perf_counter() - t0,
-        )
-    _WARM_SCHEMES[partition_key] = (result, device_name)
-    while len(_WARM_SCHEMES) > WARM_SCHEME_LIMIT:
-        _WARM_SCHEMES.popitem(last=False)
-    return partition_key, result, device_name
 
 
 def run_replay_batch_payload(
@@ -266,9 +166,8 @@ def run_replay_batch_payload(
     specs, policy = _replay_batch_docs(payload.get("replay"))
     cache = ResultCache(payload["cache_root"])
     store = replay_store_for(cache)
-    partition_key, result, device_name = _partition_for(
-        payload, cache, t0, tracer
-    )
+    partition_key = payload["partition_key"]
+    result, device_name = partition_cached(payload, cache, t0, tracer)
 
     scheme = result.scheme
     names = config_names(scheme.design)

@@ -6,7 +6,8 @@ design-space sweeps, per-device what-if queries and CI re-runs:
 
 * :mod:`repro.service.problem` -- one resolution path from a design
   description (XML text or file) to the concrete problem (design,
-  device, budget), shared by the CLI handlers and the workers;
+  device, budget), shared by the CLI handlers and the workers, and the
+  workers' one cache-first partition step;
 * :mod:`repro.service.cache` -- a content-addressed on-disk cache of
   finished :class:`~repro.core.partitioner.PartitionResult`s, keyed by
   :func:`repro.core.problem_key`;
@@ -44,7 +45,6 @@ from .jobs import (
 from .pool import (
     BatchReport,
     ServiceError,
-    job_problem_key,
     partition_problem_key,
     run_batch,
 )
@@ -68,7 +68,6 @@ __all__ = [
     "ResolvedProblem",
     "ResultCache",
     "ServiceError",
-    "job_problem_key",
     "parse_fault",
     "partition_problem_key",
     "resolve_problem",

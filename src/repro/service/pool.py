@@ -4,15 +4,18 @@ cores and never let one of them wedge the batch.
 ``run_batch`` drains a :class:`~repro.service.jobs.JobStore`:
 
 1. every pending job's :func:`repro.core.problem_key` is computed in the
-   parent (cheap: one XML parse + one SHA-256) and probed in the
-   :class:`~repro.service.cache.ResultCache` (envelope check only, no
-   result deserialisation) -- hits complete immediately, **without
-   dispatching a worker or re-running any search stage**;
+   parent (cheap: one XML parse + one SHA-256 per distinct problem) and
+   probed in the :class:`~repro.service.cache.ResultCache` (envelope
+   check only, no result deserialisation) -- hits complete immediately,
+   **without dispatching a worker or re-running any search stage**;
 2. misses are executed in (priority desc, fair round-robin, FIFO) order
    -- the :meth:`~repro.service.jobs.JobStore.pending` schedule --
    inline for an unsupervised ``workers=1`` run, else on one persistent
    *warm* pool of owned worker processes (workers survive across jobs
-   and batches, so per-process scheme caches keep paying off);
+   and batches, so no job pays a process start).  Every job reaches its
+   partition result through one step,
+   :func:`~repro.service.problem.partition_cached`: the result cache
+   first, the search only on a miss;
 3. a worker exception never poisons the batch: the traceback travels
    back as data, the job re-queues until its attempt cap, then lands in
    ``failed`` while every other job keeps flowing;
@@ -54,20 +57,17 @@ from pathlib import Path
 from typing import Any
 
 from ..arch.library import DeviceLibrary
-from ..core.fingerprint import problem_key
-from ..core.partitioner import (
-    PartitionerOptions,
-    PartitionResult,
-    partition,
-    partition_with_device_selection,
-)
 from ..obs import NULL_TRACER, RecordingTracer, TelemetrySink, Tracer
 from ..obs.resources import job_resources, sample_self
 from ..util import write_text_atomic
 from .cache import ResultCache
 from .faults import FaultPlan, inject, spec_from_payload
 from .jobs import Job, JobStore
-from .problem import ResolvedProblem, resolve_problem_text
+from .problem import (
+    ResolvedProblem,
+    partition_cached,
+    resolve_problem_text,
+)
 
 #: Default worker beat period under supervision (seconds).
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -83,96 +83,14 @@ class ServiceError(RuntimeError):
     """Raised for batch-service misuse (not for per-job failures)."""
 
 
-def _job_options(job_or_sets: Job | int | None) -> PartitionerOptions:
-    sets = (
-        job_or_sets.max_candidate_sets
-        if isinstance(job_or_sets, Job)
-        else job_or_sets
-    )
-    return PartitionerOptions(max_candidate_sets=sets)
-
-
-def job_problem_key(job: Job, library: DeviceLibrary | None = None) -> str:
-    """The content-address of a job's problem, whatever its kind.
-
-    ``partition`` jobs key on the partitioning problem alone
-    (:func:`partition_problem_key`); ``replay-batch`` jobs fold the
-    traces and policy in on top
-    (:func:`repro.replay.service.replay_probe_keys`), so the same scheme
-    replayed under a different workload or policy is a distinct key.
-    """
-    if job.kind == "replay-batch":
-        from ..replay.service import replay_probe_keys
-
-        return replay_probe_keys(job, library)[0]
-    return partition_problem_key(job, library)
-
-
 def partition_problem_key(job: Job, library: DeviceLibrary | None = None) -> str:
     """The content-address of a job's *partitioning* problem.
 
-    Fixed-device jobs hash (design, budget, options, device name);
-    auto-select jobs have no budget until a device is chosen, so they
-    hash (design, options) plus the library's device ladder -- the
-    selection protocol is deterministic given those.
+    The result-cache key of the job's partition half, whatever its kind
+    (:meth:`~repro.service.problem.ResolvedProblem.key`).
     """
-    return partition_problem_key_text(
-        job.design_xml, job.device, job.max_candidate_sets, library
-    )
-
-
-def partition_problem_key_text(
-    design_xml: str,
-    device: str | None,
-    max_candidate_sets: int | None,
-    library: DeviceLibrary | None = None,
-) -> str:
-    """:func:`partition_problem_key` from raw spec fields (worker side)."""
-    problem = resolve_problem_text(design_xml, device, library)
-    return partition_problem_key_resolved(problem, max_candidate_sets)
-
-
-def partition_problem_key_resolved(
-    problem: ResolvedProblem, max_candidate_sets: int | None
-) -> str:
-    """:func:`partition_problem_key` from an already-resolved problem.
-
-    Callers that need both the key and the resolved design (the replay
-    key helpers) resolve once and key from the result, instead of
-    paying a second XML parse inside :func:`partition_problem_key_text`.
-    """
-    options = _job_options(max_candidate_sets)
-    if problem.device is not None:
-        assert problem.capacity is not None
-        return problem_key(
-            problem.design,
-            problem.capacity,
-            options,
-            extra={"device": problem.device.name},
-        )
-    return problem_key(
-        problem.design,
-        None,
-        options,
-        extra={"device": None, "library": list(problem.library.names)},
-    )
-
-
-def _compute(
-    problem: ResolvedProblem,
-    options: PartitionerOptions,
-    tracer: Tracer = NULL_TRACER,
-) -> tuple[PartitionResult, str]:
-    """Run the partitioner for a resolved problem; returns (result, device)."""
-    if problem.device is not None:
-        assert problem.capacity is not None
-        return partition(
-            problem.design, problem.capacity, options, tracer=tracer
-        ), problem.device.name
-    selected = partition_with_device_selection(
-        problem.design, problem.library, options, tracer=tracer
-    )
-    return selected.result, selected.device.name
+    problem = resolve_problem_text(job.design_xml, job.device, library)
+    return problem.key(job.max_candidate_sets)
 
 
 class _Heartbeat:
@@ -253,27 +171,17 @@ def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
                 payload, started=started, tracer=worker_tracer or NULL_TRACER
             )
         else:
-            problem = resolve_problem_text(
-                payload["design_xml"], payload["device"], payload.get("library")
-            )
-            options = _job_options(payload["max_candidate_sets"])
-            result, device_name = _compute(
-                problem, options, worker_tracer or NULL_TRACER
-            )
-            compute_s = time.perf_counter() - started
-            ResultCache(payload["cache_root"]).put(
-                payload["key"],
-                result,
-                device_name=device_name,
-                compute_s=compute_s,
+            result, device_name = partition_cached(
+                payload, ResultCache(payload["cache_root"]), started,
+                worker_tracer or NULL_TRACER,
             )
             outcome = {
                 "job_id": payload["job_id"],
                 "ok": True,
-                "key": payload["key"],
+                "key": payload["partition_key"],
                 "device": device_name,
                 "total_frames": result.total_frames,
-                "compute_s": compute_s,
+                "compute_s": time.perf_counter() - started,
             }
         if worker_tracer is not None:
             outcome["trace"] = worker_tracer.trace().to_dict()
@@ -417,10 +325,10 @@ def run_batch(
     ``workers=1``.  Without supervision, ``workers=1`` runs jobs inline
     in the parent (nothing can preempt the caller's own thread) and
     ``workers>1`` runs them on the pool.  The pool is persistent: its
-    workers survive across batches, keeping per-worker scheme caches hot
-    (``pool.warm_hits``).  ``faults`` is the deterministic test-only plan
-    from :mod:`repro.service.faults`; a ``hang`` in it needs one of the
-    two thresholds, or nothing could ever end the batch.
+    workers survive across batches.  ``faults`` is the deterministic
+    test-only plan from :mod:`repro.service.faults`; a ``hang`` in it
+    needs one of the two thresholds, or nothing could ever end the
+    batch.
 
     ``sink`` persists the run's telemetry (progress events, one ``job``
     record per outcome keyed by job id + problem key, one end-of-run
@@ -450,6 +358,7 @@ def run_batch(
     busy_s = 0.0
     failed_ids: list[Job] = []
     results: dict[str, str] = {}
+    partition_key: dict[str, str] = {}  # job id -> partition problem key
     job_started_rel: dict[str, float] = {}
     initial = len(store.pending())
     pool_tele = _PoolTelemetry(sink, tracer)
@@ -470,17 +379,31 @@ def run_batch(
         # bulk ``probe_many`` over every member record key, so a fully
         # cached N-trace sweep costs O(segments) reads, not N file
         # opens.  A replay-batch job is a hit exactly when
-        # every one of its member records is stored.
+        # every one of its member records is stored.  Each distinct
+        # problem spec is parsed and keyed once per call, however many
+        # policies and trace batches replay it; the worker payload
+        # carries the partition key, so a worker parses the XML only
+        # when it has to search.
         keyed: list[tuple[Job, str, list[str] | None]] = []
         replay_members: list[str] = []
+        problems: dict[tuple, tuple[str, ResolvedProblem]] = {}
         for job in store.pending():
+            spec = (job.design_xml, job.device, job.max_candidate_sets)
             try:
+                if spec not in problems:
+                    problem = resolve_problem_text(
+                        job.design_xml, job.device, library
+                    )
+                    problems[spec] = (
+                        problem.key(job.max_candidate_sets), problem
+                    )
+                pkey, problem = problems[spec]
                 if job.kind == "replay-batch":
-                    from ..replay.service import replay_probe_keys
+                    from ..replay.service import replay_keys
 
-                    key, members = replay_probe_keys(job, library)
+                    key, members = replay_keys(job, pkey, problem.design)
                 else:
-                    key, members = partition_problem_key(job, library), None
+                    key, members = pkey, None
             except Exception:
                 error = traceback.format_exc()
                 while True:
@@ -503,6 +426,7 @@ def run_batch(
                         attempts=job.attempts, timeout=False,
                     )
                 continue
+            partition_key[job.id] = pkey
             keyed.append((job, key, members))
             if members is not None:
                 replay_members.extend(members)
@@ -654,7 +578,7 @@ def run_batch(
                 "kind": job.kind,
                 "replay": job.replay,
                 "cache_root": str(cache.root),
-                "key": key,
+                "partition_key": partition_key[job.id],
                 "library": library,
                 "collect_trace": collect_worker_traces,
             }
@@ -801,9 +725,8 @@ class _Pool:
 
 
 #: Persistent warm batch pools, cached per worker count.  Workers
-#: survive across jobs *and* ``run_batch`` calls, which is what lets the
-#: replay service's module-level scheme cache keep paying off
-#: (``pool.warm_hits``) fleet-wide.
+#: survive across jobs *and* ``run_batch`` calls, so a batch pays no
+#: process start-up per job.
 _WARM_EXECUTORS: dict[int, _Pool] = {}
 
 

@@ -1,24 +1,38 @@
-"""One resolution path from a design description to a concrete problem.
+"""One resolution path from a design description to a concrete problem,
+and one partition step from a batch job spec to its result.
 
 The ``partition``/``pareto`` CLI handlers and every batch worker share
 the same preamble: parse the XML, build the design model, resolve the
 target device (explicit flag, XML ``device`` attribute, or auto-select)
 and derive the PR budget (XML ``budget`` override or the device's usable
 capacity net of the static reservation).  :func:`resolve_problem`
-implements it once.
+implements it once; :meth:`ResolvedProblem.key` is the problem's
+result-cache address, and :func:`partition_cached` is the only place a
+batch worker turns a job spec into a
+:class:`~repro.core.partitioner.PartitionResult`, whatever the job kind.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Mapping
 
 from ..arch.device import Device
 from ..arch.library import DeviceLibrary, virtex5_full
 from ..arch.resources import ResourceVector
+from ..core import partitioner
+from ..core.fingerprint import problem_key
 from ..core.model import PRDesign
-from ..core.partitioner import select_device
-from ..flow.xmlio import DesignDocument, load_design, parse_design
+from ..core.partitioner import (
+    PartitionerOptions,
+    PartitionResult,
+    select_device,
+)
+from ..flow.xmlio import DesignDocument, parse_design
+from ..obs import NULL_TRACER, Tracer
+from .cache import ResultCache
 
 
 @dataclass(frozen=True)
@@ -38,10 +52,24 @@ class ResolvedProblem:
     device: Device | None
     capacity: ResourceVector | None
 
-    @property
-    def auto_device(self) -> bool:
-        """True when no device was named and selection is downstream."""
-        return self.device is None
+    def key(self, max_candidate_sets: int | None) -> str:
+        """The content address of this partitioning problem.
+
+        Fixed-device problems hash (design, budget, options, device
+        name); auto-select problems have no budget until a device is
+        chosen, so they hash (design, options) plus the library's device
+        ladder -- the selection protocol is deterministic given those.
+        """
+        options = PartitionerOptions(max_candidate_sets=max_candidate_sets)
+        if self.device is not None:
+            return problem_key(
+                self.design, self.capacity, options,
+                extra={"device": self.device.name},
+            )
+        return problem_key(
+            self.design, None, options,
+            extra={"device": None, "library": list(self.library.names)},
+        )
 
     def with_selected_device(self) -> "ResolvedProblem":
         """Resolve ``device=None`` to the smallest fitting library device."""
@@ -96,3 +124,48 @@ def resolve_problem(
     return resolve_problem_text(
         Path(path).read_text(encoding="utf-8"), device_name, library
     )
+
+
+def partition_cached(
+    payload: Mapping[str, Any],
+    cache: ResultCache,
+    started: float,
+    tracer: Tracer = NULL_TRACER,
+) -> tuple[PartitionResult, str | None]:
+    """A batch job's partition result and device: cache first, then search.
+
+    Looks the payload's ``partition_key`` up in ``cache``.  On a miss it
+    resolves the payload's XML, runs ``partition`` (fixed device) or
+    ``partition_with_device_selection`` (auto-select) and caches the
+    result, so a result that reached the cache after the batch was keyed
+    -- a duplicate job, or another policy's replay of the same design --
+    is served instead of searched again.  Both entry points are looked
+    up on :mod:`repro.core.partitioner` at call time, so instrumentation
+    that wraps them there sees every search.
+    """
+    key = payload["partition_key"]
+    cached = cache.lookup(key)
+    if cached is not None:
+        return cached.result, cached.device_name
+    problem = resolve_problem_text(
+        payload["design_xml"], payload["device"], payload.get("library")
+    )
+    options = PartitionerOptions(
+        max_candidate_sets=payload["max_candidate_sets"]
+    )
+    if problem.device is not None:
+        assert problem.capacity is not None
+        result = partitioner.partition(
+            problem.design, problem.capacity, options, tracer=tracer
+        )
+        device_name = problem.device.name
+    else:
+        selected = partitioner.partition_with_device_selection(
+            problem.design, problem.library, options, tracer=tracer
+        )
+        result, device_name = selected.result, selected.device.name
+    cache.put(
+        key, result, device_name=device_name,
+        compute_s=time.perf_counter() - started,
+    )
+    return result, device_name

@@ -7,6 +7,7 @@ import pytest
 import json
 
 from repro.flow.xmlio import design_to_xml
+from repro.obs import RecordingTracer
 from repro.replay import (
     POLICY_PRESETS,
     ReplayError,
@@ -19,7 +20,7 @@ from repro.replay import (
 )
 from repro.service import JobStore, ResultCache, run_batch
 from repro.service.jobs import Job, _spec_digest
-from repro.service.pool import job_problem_key
+from repro.service.pool import partition_problem_key
 
 
 def payload_for(job, cache_root):
@@ -32,7 +33,7 @@ def payload_for(job, cache_root):
         "kind": job.kind,
         "replay": job.replay,
         "cache_root": str(cache_root),
-        "key": job_problem_key(job),
+        "partition_key": partition_problem_key(job),
         "library": None,
         "collect_trace": False,
     }
@@ -118,14 +119,16 @@ class TestReplayJobKey:
         xml = design_to_xml(tiny_design)
         job = Job(id="x", name="x", design_xml=xml, kind="replay-batch",
                   replay=_replay_doc())
-        key = job_problem_key(job)
-        assert key == replay_probe_keys(job)[0]
-        assert len(key) == 64
+        key, members = replay_probe_keys(job)
+        assert len(key) == 64 and len(members) == 1
         partition_job = Job(id="y", name="y", design_xml=xml)
-        assert key != job_problem_key(partition_job)
+        assert key != partition_problem_key(partition_job)
+        # The partition half is shared: the replay key only adds to it.
+        assert partition_problem_key(job) == partition_problem_key(
+            partition_job)
         other = Job(id="z", name="z", design_xml=xml, kind="replay-batch",
                     replay=_replay_doc(policy="prefetch-oracle"))
-        assert key != job_problem_key(other)
+        assert key != replay_probe_keys(other)[0]
 
     def test_malformed_replay_spec_raises(self, tiny_design):
         job = Job(id="x", name="x", design_xml=design_to_xml(tiny_design),
@@ -221,6 +224,22 @@ class TestBatchIntegration:
         report2 = run_batch(queue2, cache, workers=2)
         assert report2.done == 12
         assert report2.cache_hits == 12
+
+    def test_every_run_partitions_into_its_own_fresh_cache(self, tmp_path):
+        # Nothing is memoised per process: a second run of the same
+        # suite in this process, on a fresh cache, searches again.
+        suite = WorkloadSuite(designs=1, traces_per_design=1, length=24,
+                              seed=7)
+        for run in ("first", "second"):
+            queue = JobStore(tmp_path / f"q-{run}")
+            cache = ResultCache(tmp_path / f"cache-{run}")
+            submit_replay_suite(queue, suite, ["no-prefetch"])
+            tracer = RecordingTracer()
+            report = run_batch(queue, cache, workers=1, tracer=tracer)
+            assert report.done == 1 and report.computed == 1
+            (job_span,) = tracer.trace().find("job")
+            assert job_span.find("partition"), run
+            assert len(cache) == 1
 
     def test_mixed_kind_batch(self, tiny_design, tmp_path):
         queue = JobStore(tmp_path / "q")

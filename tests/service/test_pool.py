@@ -10,7 +10,7 @@ from repro.service import (
     JobStore,
     ResultCache,
     ServiceError,
-    job_problem_key,
+    partition_problem_key,
     run_batch,
 )
 from repro.service.pool import execute_job_payload
@@ -113,6 +113,25 @@ class TestWarmRun:
         second.submit_design(renamed, device="LX30")
         report = run_batch(second, cache, workers=1)
         assert report.cache_hits == 1
+
+    def test_duplicate_job_is_served_from_the_cache_the_first_filled(
+        self, queue, cache
+    ):
+        # Both copies miss in phase 1; the second reaches the worker
+        # after the first has cached the result, and must not search.
+        first = queue.submit_design(simple_design("x"), device="LX30")
+        second = queue.submit_design(simple_design("x"), device="LX30",
+                                     dedupe=False)
+        tracer = RecordingTracer()
+        report = run_batch(queue, cache, workers=1, tracer=tracer)
+        assert report.done == 2 and report.cache_hits == 0
+        (batch_span,) = tracer.trace().find("batch_run")
+        spans = {span.attrs["job"]: span for span in batch_span.find("job")}
+        assert [c.name for c in spans[first.id].children] == ["partition"]
+        assert spans[second.id].children == []
+        key = partition_problem_key(first)
+        assert queue.get(second.id).result_key == key
+        assert len(cache) == 1
 
 
 class TestFailureIsolation:
@@ -276,23 +295,23 @@ class TestProblemKeys:
         b = queue.submit_design(simple_design("y"), device="LX30",
                                 dedupe=False)
         # different display names, same structure and device
-        assert job_problem_key(a) == job_problem_key(b)
+        assert partition_problem_key(a) == partition_problem_key(b)
 
     def test_device_changes_key(self, queue):
         a = queue.submit_design(simple_design("x"), device="LX30")
         b = queue.submit_design(simple_design("x"), device="LX50T")
-        assert job_problem_key(a) != job_problem_key(b)
+        assert partition_problem_key(a) != partition_problem_key(b)
 
     def test_auto_and_fixed_device_keys_differ(self, queue):
         a = queue.submit_design(simple_design("x"), device="LX30")
         b = queue.submit_design(simple_design("x"))
-        assert job_problem_key(a) != job_problem_key(b)
+        assert partition_problem_key(a) != partition_problem_key(b)
 
     def test_candidate_cap_changes_key(self, queue):
         a = queue.submit_design(simple_design("x"), device="LX30")
         b = queue.submit_design(simple_design("x"), device="LX30",
                                 max_candidate_sets=2)
-        assert job_problem_key(a) != job_problem_key(b)
+        assert partition_problem_key(a) != partition_problem_key(b)
 
 
 class TestWorkerEntryPoint:
@@ -304,10 +323,11 @@ class TestWorkerEntryPoint:
                 "device": None,
                 "max_candidate_sets": None,
                 "cache_root": str(tmp_path / "cache"),
-                "key": "a" * 64,
+                "partition_key": "a" * 64,
                 "library": None,
             }
         )
         assert outcome["ok"] is False
         assert outcome["job_id"] == "j1"
         assert "Traceback" in outcome["error"]
+        assert "DesignXMLError" in outcome["error"]

@@ -17,7 +17,6 @@ class TestResolveText:
         assert problem.capacity == problem.device.usable_capacity(
             tiny_design.static_resources
         )
-        assert not problem.auto_device
 
     def test_device_from_xml_attribute(self, tiny_design):
         xml = design_to_xml(tiny_design, device_name="LX50T")
@@ -35,7 +34,6 @@ class TestResolveText:
 
     def test_no_device_means_auto_selection(self, tiny_design):
         problem = resolve_problem_text(design_to_xml(tiny_design))
-        assert problem.auto_device
         assert problem.device is None
         assert problem.capacity is None
 
@@ -44,7 +42,6 @@ class TestResolveText:
         resolved = problem.with_selected_device()
         assert resolved.device is not None
         assert resolved.capacity is not None
-        assert not resolved.auto_device
         # idempotent once resolved
         assert resolved.with_selected_device() is resolved
 

@@ -1,12 +1,10 @@
-"""The warm worker pool under supervision: warm caches, and kills that
-stay local.
+"""The warm worker pool under supervision: kills that stay local.
 
 Every multi-process ``run_batch`` drains on one persistent pool of
 owned workers; supervision (deadline, heartbeat) is a policy on that
-pool.  So a supervised run keeps the per-worker scheme cache warm, and
-killing one worker -- for a timeout, or from outside -- fails only the
-job it was running, while the other jobs in flight finish on their
-first attempt.
+pool.  So killing one worker -- for a timeout, or from outside -- fails
+only the job it was running, while the other jobs in flight finish on
+their first attempt.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ import time
 
 import pytest
 
-from repro.obs import RecordingTracer
-from repro.replay import WorkloadSuite, submit_replay_suite
 from repro.service import FaultPlan, JobStore, ResultCache, run_batch
 from repro.service.pool import _warm_executor
 
@@ -46,22 +42,6 @@ def queue(tmp_path):
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
-
-
-def test_supervised_replay_sweep_reuses_the_warm_scheme(queue, cache):
-    # A seed no other test replays: neither this process nor a pool
-    # worker has partitioned the suite's design before, so the only
-    # possible warm hit is the second policy's job reusing the scheme
-    # the first one left in the same worker.
-    suite = WorkloadSuite(designs=1, traces_per_design=2, length=24,
-                          seed=4242)
-    submit_replay_suite(queue, suite, ["no-prefetch", "prefetch-oracle"],
-                        batch_size=2)
-    tracer = RecordingTracer()
-    report = run_batch(queue, cache, workers=1, tracer=tracer,
-                       job_timeout_s=120.0)
-    assert report.done == 2 and report.failed == 0
-    assert tracer.counters.get("pool.warm_hits", 0) >= 1
 
 
 def test_killing_a_hung_worker_spares_the_bystander(queue, cache):
