@@ -100,6 +100,7 @@ def test_engine_speedup(bench_record):
     bench_record(
         config=CONFIG,
         designs=DESIGNS,
+        cpu_count=os.cpu_count(),
         reference_s=round(t_ref, 3),
         incremental_s=round(t_inc, 3),
         speedup=round(speedup, 2),

@@ -129,6 +129,10 @@ def test_worker_scaling(benchmark, tmp_path, population):
     assert report.cache_hit_rate == 1.0
 
 
+#: Inline/supervised pairs timed by the supervision-overhead bench.
+SUPERVISION_PAIRS = 5
+
+
 def test_supervision_overhead(benchmark, tmp_path, population):
     """Supervised (heartbeats + deadlines) vs. inline execution, cold.
 
@@ -139,32 +143,34 @@ def test_supervision_overhead(benchmark, tmp_path, population):
     deadline is generous: nothing times out, so the delta is pure
     supervision machinery (dispatch + beats + poll), not kill/retry
     cost.  One untimed job first warms the process (the forked worker
-    inherits that warm-up), then the two sides run in the order inline,
-    supervised, supervised, inline, each on a fresh queue and cache,
-    and the overhead compares the medians of each side.  Nine runs on a
-    2-core host gave a median of +5.8 % (range -24.6 % to +31.9 %): the
-    same 6 jobs took 0.75-1.17 s on either side, so the host's
-    run-to-run noise hides whatever supervision costs.
+    inherits that warm-up), then ``SUPERVISION_PAIRS`` inline/supervised
+    pairs run back to back, each side on a fresh queue and cache, with
+    the order inside a pair alternating.  The overhead is the median of
+    the per-pair ratios; their spread (min to max) says whether the
+    host can resolve it at all.
     """
     small = population[:6]
     supervision = dict(job_timeout_s=300.0, heartbeat_interval_s=0.5,
                        heartbeat_timeout_s=30.0)
     timed_run(tmp_path, "warm-up", population[6:7], workers=1)
     walls: dict[str, list[float]] = {"inline": [], "supervised": []}
-    for i, mode in enumerate(("inline", "supervised", "supervised",
-                              "inline")):
-        report, wall, cache = timed_run(
-            tmp_path, f"{mode}-{i}", small, workers=1,
-            **(supervision if mode == "supervised" else {}),
-        )
-        assert report.failed == 0
-        assert report.timeouts == 0
-        assert report.done == len(small)
-        walls[mode].append(wall)
+    for k in range(SUPERVISION_PAIRS):
+        order = ("inline", "supervised")
+        for mode in order if k % 2 == 0 else order[::-1]:
+            report, wall, cache = timed_run(
+                tmp_path, f"{mode}-{k}", small, workers=1,
+                **(supervision if mode == "supervised" else {}),
+            )
+            assert report.failed == 0
+            assert report.timeouts == 0
+            assert report.done == len(small)
+            walls[mode].append(wall)
     inline_wall = statistics.median(walls["inline"])
     supervised_wall = statistics.median(walls["supervised"])
-
-    overhead = supervised_wall / inline_wall - 1.0
+    ratios = [s / i - 1.0 for i, s in zip(walls["inline"],
+                                          walls["supervised"])]
+    overhead = statistics.median(ratios)
+    spread = max(ratios) - min(ratios)
     print()
     print(render_table(
         ("mode", "median wall (s)", "jobs/s", "overhead"),
@@ -175,8 +181,15 @@ def test_supervision_overhead(benchmark, tmp_path, population):
              f"{len(small) / supervised_wall:.2f}", f"{overhead:+.1%}"),
         ],
         title=f"Supervision overhead ({len(small)} cold synthetic designs, "
-        "2 runs per side)",
+        f"{SUPERVISION_PAIRS} pairs)",
     ))
+    print(
+        "per-pair overhead: "
+        + ", ".join(f"{r:+.1%}" for r in ratios)
+        + f"; median {overhead:+.1%}, spread {spread:.1%} "
+        + ("(resolved)" if spread < abs(overhead) else
+           "(not resolved: spread >= |median|)")
+    )
 
     # Steady-state benchmark of the supervised timeout path itself: a
     # warm rerun under supervision (all hits, nothing dispatched).

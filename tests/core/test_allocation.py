@@ -19,6 +19,7 @@ from repro.core.allocation import (
 )
 from repro.core.clustering import enumerate_base_partitions
 from repro.core.cost import (
+    DEFAULT_POLICY,
     TransitionPolicy,
     total_reconfiguration_frames,
 )
@@ -312,6 +313,111 @@ class TestSearch:
         )
         assert "merge.heap_pushes" not in tracer.counters
 
+
+def seed_order(design, cps, policy=DEFAULT_POLICY):
+    """Base groups and their compatible pairs in restart order."""
+    base = _initial_groups(design, cps)
+    cache = _MergeCache()
+
+    def delta(pair):
+        a, b = base[pair[0]], base[pair[1]]
+        return cache.merge(a, b).cost(policy) - a.cost(policy) - b.cost(policy)
+
+    pairs = [
+        (x, y)
+        for x, y in itertools.combinations(range(len(base)), 2)
+        if _mergeable(base[x], base[y])
+    ]
+    return base, sorted(pairs, key=delta)
+
+
+def starts_fitting(base, pair, capacity):
+    """Whether the restart merging ``pair`` first fits ``capacity``."""
+    merged = _MergeCache().merge(base[pair[0]], base[pair[1]])
+    rest = [g for k, g in enumerate(base) if k not in pair]
+    return all(
+        sum(g.footprint[r] for g in rest) + merged.footprint[r] <= cap
+        for r, cap in enumerate(capacity.as_tuple())
+    )
+
+
+def both_engines(design, cps, capacity, **kwargs):
+    """(outcome, cache, tracer) of the reference, then the incremental
+    engine, each on a fresh merge cache."""
+    from repro.obs import RecordingTracer
+
+    runs = []
+    for engine in ("reference", "incremental"):
+        cache = _MergeCache()
+        tracer = RecordingTracer()
+        outcome = search_candidate_set(
+            design, cps, capacity,
+            AllocationOptions(engine=engine, **kwargs), cache, tracer,
+        )
+        runs.append((outcome, cache, tracer))
+    return runs
+
+
+def same_outcome(a, b):
+    def labels(o):
+        if o.best_groups is None:
+            return None
+        return [[p.label for p in g.members] for g in o.best_groups]
+
+    return (labels(a), a.best_cost, a.states_explored, a.feasible_states) == (
+        labels(b), b.best_cost, b.states_explored, b.feasible_states
+    )
+
+
+class TestBasePairSeeding:
+    """Base pairs are keyed once per set but materialised only when the
+    reference rescan would: a version that filled the merge cache with
+    every base pair up front fails both tests."""
+
+    def test_single_restart_materialises_only_rescanned_pairs(
+        self, paper_example
+    ):
+        cps = first_cps(paper_example)
+        base, pairs = seed_order(paper_example, cps)
+        assert len(base) >= 4
+        i, j = pairs[0]
+        li, lj = base[i].members[0].label, base[j].members[0].label
+        # Precondition: some other base pair touches the restart's pair.
+        assert any(len({x, y} & {i, j}) == 1 for x, y in pairs)
+
+        (ref, ref_cache, _), (inc, inc_cache, _) = both_engines(
+            paper_example, cps, ResourceVector(10_000, 100, 100),
+            max_initial_pairs=1,
+        )
+        assert same_outcome(ref, inc)
+        assert set(inc_cache._cache) == set(ref_cache._cache)
+        # Every group of the one descent holds both i and j or neither.
+        assert all((li in k) == (lj in k) for k in inc_cache._cache)
+
+    def test_mode_flip_with_cost_first_start(self, receiver):
+        cps = first_cps(receiver)
+        base, pairs = seed_order(receiver, cps)
+        # 100 CLBs below the all-separate footprint: one of the first two
+        # restarts fits at once (cost-first base keys), the other has to
+        # merge its way into the budget (one footprint-first -> cost-first
+        # rebuild).
+        c, b, d = (sum(g.footprint[r] for g in base) for r in range(3))
+        capacity = ResourceVector(c - 100, b, d)
+        assert [starts_fitting(base, p, capacity) for p in pairs[:2]].count(
+            True
+        ) == 1
+
+        (ref, ref_cache, _), (inc, inc_cache, tracer) = both_engines(
+            receiver, cps, capacity, max_initial_pairs=2
+        )
+        assert tracer.counters["merge.heap_rebuilds"] > 0
+        assert same_outcome(ref, inc)
+        assert set(inc_cache._cache) == set(ref_cache._cache)
+        # Precondition: the rescans leave some base pair unmaterialised.
+        assert any(
+            base[x].signature | base[y].signature not in ref_cache._cache
+            for x, y in pairs
+        )
 
 class TestGroupsToScheme:
     def test_materialised_scheme_valid_and_deterministic(self, paper_example):

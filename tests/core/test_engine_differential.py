@@ -10,8 +10,8 @@ caps, and across the shared-merge-cache coupling of a full
 ``partition()`` run (searches later in a run read merged groups cached
 by earlier ones, so cache *contents* are part of the contract).
 
-``REPRO_DIFF_DESIGNS`` scales the random-design sweep (default small for
-CI; the committed BENCH run used 200).
+``REPRO_DIFF_DESIGNS`` scales the random-design sweep (default 12 for
+the tier-1 suite; the CI differential gate runs 200).
 """
 
 from __future__ import annotations
