@@ -9,7 +9,9 @@ Every bench file additionally gets a machine-readable result artifact:
 pytest-benchmark stats of its tests plus any custom records emitted via
 the :func:`bench_record` fixture.  Artifacts land next to the bench
 files so a committed run (see ``BENCH_allocation.json``) documents the
-measured numbers the docs quote.
+measured numbers the docs quote.  A run merges into the file already
+there (:func:`repro.obs.report.merge_bench`), so running some of a
+file's tests (``-k``) replaces only their entries and records.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.eval import experiments as E
+from repro.obs.report import merge_bench
 
 _BENCH_DIR = Path(__file__).parent
 _CUSTOM_RECORDS: dict[str, dict] = {}
@@ -85,8 +88,16 @@ def pytest_sessionfinish(session, exitstatus):
             doc["benchmarks"] = benches
         if group in _CUSTOM_RECORDS:
             doc["records"] = _CUSTOM_RECORDS[group]
+        path = _BENCH_DIR / f"BENCH_{group}.json"
         try:
-            (_BENCH_DIR / f"BENCH_{group}.json").write_text(
+            existing = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # first run, or an unreadable file
+            existing = None
+        if not isinstance(existing, dict):
+            existing = None
+        doc = merge_bench(existing, doc)
+        try:
+            path.write_text(
                 json.dumps(doc, indent=2, default=str) + "\n",
                 encoding="utf-8",
             )

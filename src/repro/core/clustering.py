@@ -21,6 +21,7 @@ module; the number of cliques is bounded by prod(modes_m + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
@@ -65,9 +66,14 @@ class BasePartition:
         """Tile-quantised frame footprint of the partition alone."""
         return frames_for(self.resources)
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Canonical ``{A1, B2}`` style label (sorted member names)."""
+        """Canonical ``{A1, B2}`` style label (sorted member names).
+
+        Computed once per instance: it is read on every covering pass and
+        merge-search step.  The cache lives in the instance ``__dict__``,
+        outside the dataclass fields, so ``==`` and ``hash`` ignore it.
+        """
         return "{" + ", ".join(sorted(self.modes)) + "}"
 
     def sort_key(self) -> tuple[int, int, int, str]:

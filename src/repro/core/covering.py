@@ -16,9 +16,8 @@ until covering fails -- the paper's outer loop termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from ..obs import NULL_TRACER, Tracer
 from .clustering import BasePartition
@@ -94,49 +93,69 @@ class CandidatePartitionSet:
                 )
 
 
-def cover(
-    ordered_partitions: Sequence[BasePartition],
-    cmatrix: ConnectivityMatrix,
-    tracer: Tracer | None = None,
-) -> CandidatePartitionSet | None:
-    """Run one covering pass over an ordered partition list.
+#: One covering-list entry: the partition, its mode mask, and the rows
+#: (configurations) that contain all of its modes -- ``None`` when one of
+#: its modes has no matrix column, so it can never legally cover anything.
+_PlanEntry = tuple[BasePartition, int, tuple[int, ...] | None]
 
-    Returns ``None`` when the list cannot reduce the matrix to zero (which
-    terminates the outer CPS loop).  The input order *is* the priority
-    order; callers pass a list already in covering-list order.
+
+def _plan(
+    partitions: Sequence[BasePartition], cmatrix: ConnectivityMatrix
+) -> tuple[list[int], list[_PlanEntry]]:
+    """The matrix rows as mode masks, and each partition's plan entry.
+
+    Row ``i`` is configuration ``i``'s mask (bit ``j`` = column ``j``).
+    The entries follow list order and depend only on the partition and
+    the matrix, so one plan serves every head-removal pass over a list.
     """
-    tracer = tracer or NULL_TRACER
-    remaining = cmatrix.matrix.astype(bool).copy()
-    col = {name: j for j, name in enumerate(cmatrix.mode_names)}
+    rows = [
+        sum(1 << j for j, v in enumerate(row) if v)
+        for row in cmatrix.matrix.tolist()
+    ]
+    bit = {name: 1 << j for j, name in enumerate(cmatrix.mode_names)}
+    plan: list[_PlanEntry] = []
+    for bp in partitions:
+        if any(m not in bit for m in bp.modes):
+            plan.append((bp, 0, None))
+            continue
+        pmask = sum(bit[m] for m in bp.modes)
+        fits = tuple(i for i, row in enumerate(rows) if row & pmask == pmask)
+        plan.append((bp, pmask, fits))
+    return rows, plan
+
+
+def _cover_pass(
+    plan: Sequence[_PlanEntry],
+    start: int,
+    rows: list[int],
+    configuration_names: Sequence[str],
+    tracer: Tracer,
+) -> CandidatePartitionSet | None:
+    """One covering pass over ``plan[start:]`` (see :func:`cover`)."""
+    remaining = list(rows)
+    live = sum(1 for r in remaining if r)
     selected: list[BasePartition] = []
-    cover_map: dict[str, list[str]] = {name: [] for name in cmatrix.configuration_names}
+    cover_map: dict[str, list[str]] = {name: [] for name in configuration_names}
 
     considered = 0
-    for bp in ordered_partitions:
+    for bp, pmask, fits in islice(plan, start, None):
         considered += 1
-        cols = [col[m] for m in bp.modes if m in col]
-        if len(cols) != len(bp.modes):
-            # Partition references a mode outside the matrix (inactive);
-            # it can never legally cover anything.
+        if fits is None:
             continue
-        block = cmatrix.matrix[:, cols].astype(bool)
-        rows_all_present = block.all(axis=1)
-        # "covers a new mode": at least one still-set element among this
-        # partition's columns, in a row where the whole partition fits.
-        newly = remaining[:, cols] & rows_all_present[:, None]
-        if not newly.any():
+        # "covers a new mode": a row the whole partition fits in still
+        # has one of the partition's modes uncovered.
+        hit = [i for i in fits if remaining[i] & pmask]
+        if not hit:
             continue
         selected.append(bp)
-        for i in np.flatnonzero(rows_all_present):
-            if remaining[i, cols].any():
-                remaining[i, cols] = False
-                cover_map[cmatrix.configuration_names[i]].append(bp.label)
-            elif bp.modes and not remaining[i, cols].any():
-                # Row already covered for these modes: the partition still
-                # fits this configuration, but the cover keeps the original
-                # supplier; nothing to record.
-                pass
-        if not remaining.any():
+        label = bp.label
+        for i in hit:
+            left = remaining[i] & ~pmask
+            remaining[i] = left
+            cover_map[configuration_names[i]].append(label)
+            if not left:
+                live -= 1
+        if not live:
             tracer.count("covering.partitions_considered", considered)
             tracer.count("covering.partitions_selected", len(selected))
             tracer.observe(
@@ -151,6 +170,23 @@ def cover(
     tracer.count("covering.failures", 1)
     tracer.observe("covering.iterations", considered, bounds=_COUNT_BOUNDS)
     return None
+
+
+def cover(
+    ordered_partitions: Sequence[BasePartition],
+    cmatrix: ConnectivityMatrix,
+    tracer: Tracer | None = None,
+) -> CandidatePartitionSet | None:
+    """Run one covering pass over an ordered partition list.
+
+    Returns ``None`` when the list cannot reduce the matrix to zero (which
+    terminates the outer CPS loop).  The input order *is* the priority
+    order; callers pass a list already in covering-list order.
+    """
+    rows, plan = _plan(ordered_partitions, cmatrix)
+    return _cover_pass(
+        plan, 0, rows, cmatrix.configuration_names, tracer or NULL_TRACER
+    )
 
 
 def candidate_partition_sets(
@@ -168,13 +204,15 @@ def candidate_partition_sets(
     cover never used) are skipped.
     """
     tracer = tracer or NULL_TRACER
-    working = list(partitions)
+    rows, plan = _plan(partitions, cmatrix)
     produced = 0
     last_labels: tuple[str, ...] | None = None
-    while working:
-        with tracer.span("covering", pool=len(working)):
+    for head in range(len(plan)):
+        with tracer.span("covering", pool=len(plan) - head):
             tracer.count("covering.passes", 1)
-            cps = cover(working, cmatrix, tracer)
+            cps = _cover_pass(
+                plan, head, rows, cmatrix.configuration_names, tracer
+            )
         if cps is None:
             return
         if cps.labels != last_labels:
@@ -192,4 +230,3 @@ def candidate_partition_sets(
                 return
         else:
             tracer.count("covering.duplicate_sets", 1)
-        working.pop(0)

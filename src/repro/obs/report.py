@@ -1,6 +1,6 @@
 """Aggregation toolchain over telemetry directories and BENCH files.
 
-Three consumers of the durable telemetry the sink writes:
+Its entry points:
 
 * :func:`aggregate_run` folds a telemetry directory into a
   :class:`RunReport` -- job-latency percentiles, cache hit rate,
@@ -10,7 +10,9 @@ Three consumers of the durable telemetry the sink writes:
 * :func:`bench_diff` compares two committed ``BENCH_*.json`` artifacts
   (benchmarks/conftest.py writes them) against a configurable
   regression threshold for ``repro obs bench-diff`` -- the CI smoke
-  that notices a slowdown before a human does.
+  that notices a slowdown before a human does;
+* :func:`merge_bench` folds a partial bench run into the committed
+  ``BENCH_*.json`` so a ``-k`` run keeps the entries it did not re-run.
 """
 
 from __future__ import annotations
@@ -484,6 +486,34 @@ def load_bench(path: str | Path) -> dict[str, Any]:
     if not isinstance(doc, Mapping) or "suite" not in doc:
         raise BenchDiffError(f"{path}: not a BENCH document (no 'suite')")
     return dict(doc)
+
+
+def merge_bench(
+    existing: Mapping[str, Any] | None, fresh: Mapping[str, Any]
+) -> dict[str, Any]:
+    """Fold a (possibly partial) bench run into the document on disk.
+
+    A run of some of a suite's tests (``pytest -k``) must not erase what
+    the others recorded.  ``fresh`` benchmark entries replace the
+    same-named ``existing`` ones in place and the rest are appended;
+    ``fresh`` records replace ``existing`` records key by key; every
+    other key is taken from ``fresh`` when it has one and kept otherwise.
+    Neither input is modified.
+    """
+    out = dict(existing or {})
+    for key, value in fresh.items():
+        if key == "benchmarks":
+            new = {bench["name"]: bench for bench in value}
+            kept = [
+                new.pop(bench.get("name"), bench)
+                for bench in out.get("benchmarks") or []
+            ]
+            out[key] = kept + list(new.values())
+        elif key == "records":
+            out[key] = {**(out.get("records") or {}), **value}
+        else:
+            out[key] = value
+    return out
 
 
 def bench_timings(doc: Mapping[str, Any]) -> dict[str, float]:

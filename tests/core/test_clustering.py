@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +98,52 @@ class TestBasePartition:
         assert ordered[1] is pair_light
         assert ordered[2] is pair_heavy
         assert ordered[3] is pair_frequent
+
+
+class TestLabelCache:
+    """``label`` is computed once per instance and never leaks into identity."""
+
+    def _bp(self, modes):
+        return BasePartition(
+            modes=frozenset(modes),
+            frequency_weight=1,
+            resources=ResourceVector(10, 0, 0),
+            modules=frozenset(m[0] for m in modes),
+        )
+
+    def test_computed_once(self):
+        bp = self._bp(["B1", "A1"])
+        assert bp.label is bp.label
+        assert bp.__dict__["label"] == "{A1, B1}"
+
+    def test_survives_pickle(self):
+        bp = self._bp(["B1", "A1"])
+        assert bp.label == "{A1, B1}"
+        clone = pickle.loads(pickle.dumps(bp))
+        assert clone == bp and hash(clone) == hash(bp)
+        assert clone.label == "{A1, B1}"
+
+    def test_replace_relabels(self):
+        bp = self._bp(["A1"])
+        assert bp.label == "{A1}"
+        wider = dataclasses.replace(bp, modes=frozenset({"A1", "B1"}))
+        assert wider.label == "{A1, B1}"
+        assert bp.label == "{A1}"
+        same = dataclasses.replace(bp, frequency_weight=2)
+        assert same.label == "{A1}"
+
+    def test_equality_and_hash_ignore_cache(self):
+        warm, cold = self._bp(["B1", "A1"]), self._bp(["A1", "B1"])
+        assert warm.label == "{A1, B1}"
+        assert "label" in warm.__dict__ and "label" not in cold.__dict__
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert len({warm, cold}) == 1
+
+    def test_still_frozen(self):
+        bp = self._bp(["A1"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bp.modes = frozenset({"B1"})
 
 
 class TestPartitionSemantics:

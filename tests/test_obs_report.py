@@ -16,7 +16,7 @@ from repro.obs import (
     render_bench_diff,
     render_run_report,
 )
-from repro.obs.report import DEFAULT_BENCH_THRESHOLD
+from repro.obs.report import DEFAULT_BENCH_THRESHOLD, merge_bench
 
 
 def _write_run(directory, jobs=(), counters=None, gauges=None, histograms=None):
@@ -308,3 +308,72 @@ class TestSearchCounters:
         report = aggregate_run(tmp_path / "t")
         text = render_run_report(report)
         assert "merge.heap_pushes" in text
+
+
+class TestMergeBench:
+    """A partial bench run (``pytest -k``) folds into the file on disk."""
+
+    def _committed(self):
+        return {
+            "suite": "test_bench_allocation.py",
+            "python": "3.11.7",
+            "machine": "x86_64",
+            "benchmarks": [
+                {"name": "a", "mean": 1.0},
+                {"name": "b", "mean": 2.0},
+            ],
+            "records": {"speedup": 9.2, "designs": 4},
+            "note": "kept",
+        }
+
+    def test_records_only_run_keeps_benchmarks(self):
+        committed = self._committed()
+        fresh = {
+            "suite": "test_bench_allocation.py",
+            "python": "3.12.0",
+            "machine": "x86_64",
+            "records": {"speedup": 8.6},
+        }
+        merged = merge_bench(committed, fresh)
+        assert merged["benchmarks"] == committed["benchmarks"]
+        assert merged["records"] == {"speedup": 8.6, "designs": 4}
+        assert merged["python"] == "3.12.0"
+        assert merged["note"] == "kept"
+
+    def test_benchmarks_replaced_by_name_in_place(self):
+        fresh = {
+            "suite": "test_bench_allocation.py",
+            "benchmarks": [{"name": "c", "mean": 3.0}, {"name": "a", "mean": 1.5}],
+        }
+        merged = merge_bench(self._committed(), fresh)
+        assert merged["benchmarks"] == [
+            {"name": "a", "mean": 1.5},
+            {"name": "b", "mean": 2.0},
+            {"name": "c", "mean": 3.0},
+        ]
+        assert merged["records"] == {"speedup": 9.2, "designs": 4}
+
+    def test_no_existing_file(self):
+        fresh = {"suite": "s", "benchmarks": [{"name": "a", "mean": 1.0}]}
+        assert merge_bench(None, fresh) == fresh
+
+    def test_inputs_untouched(self):
+        committed = self._committed()
+        before = json.dumps(committed, sort_keys=True)
+        fresh = {
+            "suite": "s",
+            "benchmarks": [{"name": "a", "mean": 5.0}],
+            "records": {"speedup": 1.0},
+        }
+        merge_bench(committed, fresh)
+        assert json.dumps(committed, sort_keys=True) == before
+        assert fresh["records"] == {"speedup": 1.0}
+
+    def test_merged_doc_still_diffs(self):
+        merged = merge_bench(
+            self._committed(),
+            {"suite": "s", "benchmarks": [{"name": "b", "mean": 4.0}]},
+        )
+        diff = bench_diff(self._committed(), merged)
+        assert [d.name for d in diff.regressions] == ["b"]
+        assert diff.only_old == [] and diff.only_new == []
