@@ -289,28 +289,55 @@ def _cmd_batch_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_batch_run(args: argparse.Namespace) -> int:
-    from .eval.report import render_batch_report
-    from .service import FaultError, FaultPlan, run_batch
+def _run_batch_with_telemetry(args: argparse.Namespace, store, cache,
+                              tracer: Tracer, **kwargs):
+    """``run_batch`` on ``args.workers`` behind the CLI's telemetry
+    preamble; prints the batch report.
 
-    store, cache = _queue_stores(args)
-    tracer = _make_tracer(args)
-    if args.telemetry_dir and not isinstance(tracer, RecordingTracer):
-        # Durable telemetry wants the full picture: a recording tracer
-        # gives the run record counters/gauges/histograms, not just the
-        # per-job outcome lines.
-        tracer = RecordingTracer()
-    if args.progress and not isinstance(tracer, RecordingTracer):
-        tracer = RecordingTracer()
-    if isinstance(tracer, RecordingTracer) and args.progress:
-        tracer.on_progress(
-            lambda e: print(f"... {e.name} {dict(e.payload)}", file=sys.stderr)
-        )
+    ``--telemetry-dir`` upgrades ``tracer`` to a recording one (durable
+    telemetry wants the full picture: a recording tracer gives the run
+    record counters/gauges/histograms, not just the per-job outcome
+    lines), opens the sink and, after the run, prints its record count.
+    Returns the report, or ``None`` once a ``ServiceError`` is printed.
+    """
+    from .eval.report import render_batch_report
+    from .service import ServiceError, run_batch
+
     sink = None
     if args.telemetry_dir:
         from .obs import TelemetrySink
 
+        if not isinstance(tracer, RecordingTracer):
+            tracer = RecordingTracer()
         sink = TelemetrySink(args.telemetry_dir)
+    try:
+        report = run_batch(
+            store, cache, workers=args.workers, tracer=tracer, sink=sink,
+            **kwargs,
+        )
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    print(render_batch_report(report))
+    if sink is not None:
+        print(
+            f"telemetry: {sink.records_written} records in {sink.directory}",
+            file=sys.stderr,
+        )
+    return report
+
+
+def _cmd_batch_run(args: argparse.Namespace) -> int:
+    from .service import FaultError, FaultPlan
+
+    store, cache = _queue_stores(args)
+    tracer = _make_tracer(args)
+    if args.progress:
+        if not isinstance(tracer, RecordingTracer):
+            tracer = RecordingTracer()
+        tracer.on_progress(
+            lambda e: print(f"... {e.name} {dict(e.payload)}", file=sys.stderr)
+        )
     faults = None
     if args.inject_fault:
         try:
@@ -318,29 +345,15 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
         except FaultError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    from .service import ServiceError
-
-    try:
-        report = run_batch(
-            store,
-            cache,
-            workers=args.workers,
-            tracer=tracer,
-            job_timeout_s=args.job_timeout,
-            heartbeat_interval_s=args.heartbeat_interval,
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            faults=faults,
-            sink=sink,
-        )
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _run_batch_with_telemetry(
+        args, store, cache, tracer,
+        job_timeout_s=args.job_timeout,
+        heartbeat_interval_s=args.heartbeat_interval,
+        heartbeat_timeout_s=args.heartbeat_timeout,
+        faults=faults,
+    )
+    if report is None:
         return 1
-    print(render_batch_report(report))
-    if sink is not None:
-        print(
-            f"telemetry: {sink.records_written} records in {sink.directory}",
-            file=sys.stderr,
-        )
     if report.failed:
         print(f"failed jobs: {', '.join(report.failed_ids)}", file=sys.stderr)
     _emit_trace(tracer, args)
@@ -405,7 +418,6 @@ def _cmd_replay_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay_sweep(args: argparse.Namespace) -> int:
-    from .eval.report import render_batch_report
     from .replay import (
         ENVIRONMENTS,
         ReplayError,
@@ -414,7 +426,6 @@ def _cmd_replay_sweep(args: argparse.Namespace) -> int:
     )
     from .replay.policies import PolicyError
     from .replay.trace import TraceSpecError
-    from .service import ServiceError, run_batch
 
     store, cache = _queue_stores(args)
     try:
@@ -449,26 +460,9 @@ def _cmd_replay_sweep(args: argparse.Namespace) -> int:
         f"{len(policies)} policies{batched})"
     )
     tracer = _make_tracer(args)
-    sink = None
-    if args.telemetry_dir:
-        from .obs import TelemetrySink
-
-        if not isinstance(tracer, RecordingTracer):
-            tracer = RecordingTracer()
-        sink = TelemetrySink(args.telemetry_dir)
-    try:
-        report = run_batch(
-            store, cache, workers=args.workers, tracer=tracer, sink=sink
-        )
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    report = _run_batch_with_telemetry(args, store, cache, tracer)
+    if report is None:
         return 1
-    print(render_batch_report(report))
-    if sink is not None:
-        print(
-            f"telemetry: {sink.records_written} records in {sink.directory}",
-            file=sys.stderr,
-        )
     if report.failed:
         # Group the failures by their terminal error line so a 1000-job
         # sweep reports "63 x InfeasibleError: ..." instead of 63 ids.

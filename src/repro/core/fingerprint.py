@@ -80,7 +80,8 @@ def _canonical_options(options: "PartitionerOptions | None") -> dict[str, Any]:
     return {
         "policy": options.policy.name,
         "max_candidate_sets": options.max_candidate_sets,
-        "include_single_region": options.include_single_region,
+        # A removed knob, pinned at its one value: keys stay byte-stable.
+        "include_single_region": True,
         "max_initial_pairs": options.allocation.max_initial_pairs,
         "max_descent_steps": options.allocation.max_descent_steps,
         "pair_probabilities": pairs,

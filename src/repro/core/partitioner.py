@@ -59,14 +59,13 @@ class PartitionerOptions:
 
     ``max_candidate_sets`` bounds the outer covering loop (None follows
     the paper: iterate until covering fails).  ``allocation`` tunes the
-    inner merge search.  ``include_single_region`` keeps the minimum-area
-    arrangement in the candidate pool (the paper's fallback).
+    inner merge search.  The minimum-area single-region arrangement is
+    always in the candidate pool (the paper's fallback).
     """
 
     policy: TransitionPolicy = DEFAULT_POLICY
     max_candidate_sets: int | None = None
     allocation: AllocationOptions = field(default_factory=AllocationOptions)
-    include_single_region: bool = True
     #: Optional transition probabilities keyed by (config_a, config_b)
     #: pairs (either order).  When given, the search minimises the
     #: probability-weighted total (the paper's Sec. V "if some
@@ -222,20 +221,12 @@ def partition(
 
             return weighted_total_frames(scheme, options.pair_probabilities, policy)
 
-        if options.include_single_region:
-            single_cost = scheme_objective(single)
-            states += 1
-            feasible += 1
-            if best_cost is None or single_cost < best_cost:
-                best_cost = single_cost
-                best_scheme = single
-
-        if best_scheme is None or best_cost is None:
-            # No feasible multi-region scheme and the single-region fallback
-            # was disabled: surface the single-region arrangement anyway so the
-            # caller can escalate devices.
+        single_cost = scheme_objective(single)
+        states += 1
+        feasible += 1
+        if best_cost is None or single_cost < best_cost:
+            best_cost = single_cost
             best_scheme = single
-            best_cost = scheme_objective(single)
 
         total = total_reconfiguration_frames(best_scheme, policy)
         tracer.count("partition.candidate_sets", sets_explored)
@@ -301,7 +292,6 @@ def partition_with_device_selection(
     design: PRDesign,
     library: DeviceLibrary,
     options: PartitionerOptions | None = None,
-    max_escalations: int | None = None,
     tracer: Tracer | None = None,
 ) -> DevicePartitionResult:
     """The Sec. V protocol: smallest-fit device, escalate while stuck.
@@ -309,9 +299,8 @@ def partition_with_device_selection(
     A device is "stuck" when no arrangement other than the single-region
     one is feasible on it; the paper then retries on the next larger
     device.  Escalation stops at the top of the library (the last result
-    is returned) or after ``max_escalations`` steps.  Each attempt shows
-    up in the ``tracer`` as one ``partition`` span under a shared
-    ``device_selection`` root.
+    is returned).  Each attempt shows up in the ``tracer`` as one
+    ``partition`` span under a shared ``device_selection`` root.
     """
     options = options or PartitionerOptions()
     tracer = tracer or NULL_TRACER
@@ -327,9 +316,7 @@ def partition_with_device_selection(
             if not result.only_single_region_feasible:
                 break
             bigger = library.next_larger(device)
-            if bigger is None or (
-                max_escalations is not None and escalations >= max_escalations
-            ):
+            if bigger is None:
                 break
             if tracer.enabled:
                 tracer.progress(

@@ -543,10 +543,23 @@ def bench_diff(
     ``threshold`` is relative: 0.25 flags any benchmark whose
     representative time grew (regression) or shrank (improvement) by
     more than 25%.  Benchmarks present on only one side are listed but
-    never flagged -- suite membership changes are not slowdowns.
+    never flagged -- suite membership changes are not slowdowns.  Two
+    documents whose ``records`` both state a ``config`` or ``designs``
+    and disagree on it measured different workloads; comparing their
+    times would read a size change as a speed change, so that raises
+    :class:`BenchDiffError`.
     """
     if threshold < 0:
         raise BenchDiffError("threshold must be non-negative")
+    old_records = old.get("records") or {}
+    new_records = new.get("records") or {}
+    for name in ("config", "designs"):
+        was, now = old_records.get(name), new_records.get(name)
+        if was is not None and now is not None and was != now:
+            raise BenchDiffError(
+                f"records.{name} differ ({was!r} vs {now!r}): the two "
+                "documents measured different workloads"
+            )
     old_timings = bench_timings(old)
     new_timings = bench_timings(new)
     diff = BenchDiff(threshold=threshold)

@@ -201,7 +201,6 @@ def run_replay_batch_payload(
         "compute_s": time.perf_counter() - t0,
         "replay": summary,
         "batch": len(specs),
-        "record_keys": list(records),
     }
 
 

@@ -1,24 +1,28 @@
 """Supervised multiprocessing batch runner: fan pending jobs out across
 cores and never let one of them wedge the batch.
 
-``run_batch`` drains a :class:`~repro.service.jobs.JobStore`:
+``run_batch`` validates its arguments, then drains a
+:class:`~repro.service.jobs.JobStore` phase by phase on one private run
+state (``_Batch``: the work heap, the per-job keys and a
+:class:`BatchReport` tallied in place):
 
-1. every pending job's :func:`repro.core.problem_key` is computed in the
-   parent (cheap: one XML parse + one SHA-256 per distinct problem) and
-   probed in the :class:`~repro.service.cache.ResultCache` (envelope
-   check only, no result deserialisation) -- hits complete immediately,
-   **without dispatching a worker or re-running any search stage**;
+1. ``serve_cached``: every pending job's :func:`repro.core.problem_key`
+   is computed in the parent (cheap: one XML parse + one SHA-256 per
+   distinct problem) and probed in the
+   :class:`~repro.service.cache.ResultCache` (envelope check only, no
+   result deserialisation) -- hits complete immediately, **without
+   dispatching a worker or re-running any search stage**;
 2. misses are executed in (priority desc, fair round-robin, FIFO) order
    -- the :meth:`~repro.service.jobs.JobStore.pending` schedule --
-   inline for an unsupervised ``workers=1`` run, else on one persistent
-   *warm* pool of owned worker processes (workers survive across jobs
-   and batches, so no job pays a process start).  Every job reaches its
-   partition result through one step,
+   inline for an unsupervised ``workers=1`` run, else (``_drain``) on
+   one persistent *warm* pool of owned worker processes (workers
+   survive across jobs and batches, so no job pays a process start).
+   Every job reaches its partition result through one step,
    :func:`~repro.service.problem.partition_cached`: the result cache
    first, the search only on a miss;
-3. a worker exception never poisons the batch: the traceback travels
-   back as data, the job re-queues until its attempt cap, then lands in
-   ``failed`` while every other job keeps flowing;
+3. ``settle``: a worker exception never poisons the batch: the
+   traceback travels back as data, the job re-queues until its attempt
+   cap, then lands in ``failed`` while every other job keeps flowing;
 4. supervision is a policy on that same pool: with a ``job_timeout_s``
    deadline or a ``heartbeat_timeout_s`` staleness threshold set, each
    worker **heartbeats** (touches a per-job file every
@@ -28,22 +32,25 @@ cores and never let one of them wedge the batch.
    re-queues until its attempt cap, and every other worker runs on.  A
    worker that *dies* without reporting (OOM kill, segfault) fails only
    its own job, detected through its process sentinel without waiting
-   for any deadline.
+   for any deadline;
+5. ``finish`` reads the ``service.*`` job counters and gauges off the
+   report and writes the sink's end-of-run ``run`` record.
 
 Deterministic fault injection for all of the above lives in
 :mod:`repro.service.faults` and threads through the worker payload --
 production runs never construct a plan.
 
 Progress streams through the :mod:`repro.obs` tracer (``batch.*``
-events, ``service.*`` counters -- see docs/OBSERVABILITY.md) and the
-run aggregates into a :class:`BatchReport` (throughput, cache hit rate,
-timeouts, worker utilisation).
+events, ``service.*`` counters -- see docs/OBSERVABILITY.md); one
+method, ``_Batch.emit``, publishes each job outcome's event and sink
+``job`` record.
 """
 
 from __future__ import annotations
 
 import atexit
 import heapq
+import itertools
 import json
 import multiprocessing
 import sys
@@ -51,10 +58,10 @@ import threading
 import time
 import traceback
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ..arch.library import DeviceLibrary
 from ..obs import NULL_TRACER, RecordingTracer, TelemetrySink, Tracer
@@ -153,9 +160,7 @@ def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
     started = time.perf_counter()
     started_resources = sample_self()
     heartbeat = None
-    worker_tracer: RecordingTracer | None = None
-    if payload.get("collect_trace"):
-        worker_tracer = RecordingTracer()
+    worker_tracer = RecordingTracer() if payload.get("collect_trace") else None
     if payload.get("heartbeat_path"):
         heartbeat = _Heartbeat(
             payload["heartbeat_path"],
@@ -183,43 +188,46 @@ def execute_job_payload(payload: dict[str, Any]) -> dict[str, Any]:
                 "total_frames": result.total_frames,
                 "compute_s": time.perf_counter() - started,
             }
-        if worker_tracer is not None:
-            outcome["trace"] = worker_tracer.trace().to_dict()
-        outcome["resources"] = job_resources(started_resources)
-        return outcome
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException:
-        outcome = {
-            "job_id": payload["job_id"],
-            "ok": False,
-            "error": traceback.format_exc(),
-            "compute_s": time.perf_counter() - started,
-        }
-        if worker_tracer is not None:
-            # The spans up to the failure point still tell the story.
-            outcome["trace"] = worker_tracer.trace().to_dict()
-        outcome["resources"] = job_resources(started_resources)
-        return outcome
+        outcome = _failed(payload["job_id"], traceback.format_exc(), started)
     finally:
         if heartbeat is not None:
             heartbeat.stop()
+    if worker_tracer is not None:
+        # After a failure, the spans up to it still tell the story.
+        outcome["trace"] = worker_tracer.trace().to_dict()
+    outcome["resources"] = job_resources(started_resources)
+    return outcome
+
+
+def _failed(job_id: str, error: str, started: float,
+            **extra: Any) -> dict[str, Any]:
+    """The outcome of a failed attempt begun at ``started`` (perf clock)."""
+    return {
+        "job_id": job_id,
+        "ok": False,
+        "error": error,
+        "compute_s": time.perf_counter() - started,
+        **extra,
+    }
 
 
 @dataclass
 class BatchReport:
     """Aggregate outcome and throughput metrics of one ``run_batch``."""
 
-    total: int
-    done: int
-    failed: int
-    cache_hits: int
-    computed: int
-    retries: int
-    timeouts: int
-    workers: int
-    duration_s: float
-    busy_s: float
+    total: int = 0
+    done: int = 0
+    failed: int = 0
+    cache_hits: int = 0
+    computed: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    workers: int = 1
+    duration_s: float = 0.0
+    busy_s: float = 0.0
     failed_ids: tuple[str, ...] = ()
     results: dict[str, str] = field(default_factory=dict)  # job id -> key
 
@@ -239,47 +247,235 @@ class BatchReport:
         return min(1.0, self.busy_s / budget) if budget > 0 else 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "total": self.total,
-            "done": self.done,
-            "failed": self.failed,
-            "cache_hits": self.cache_hits,
-            "computed": self.computed,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "workers": self.workers,
-            "duration_s": self.duration_s,
-            "busy_s": self.busy_s,
-            "jobs_per_s": self.jobs_per_s,
-            "cache_hit_rate": self.cache_hit_rate,
-            "worker_utilisation": self.worker_utilisation,
-            "failed_ids": list(self.failed_ids),
+        """The count and time fields, the derived rates, then the failed
+        ids; ``results`` (one entry per job) stays out of the summary."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("failed_ids", "results")}
+        doc.update(
+            jobs_per_s=self.jobs_per_s,
+            cache_hit_rate=self.cache_hit_rate,
+            worker_utilisation=self.worker_utilisation,
+            failed_ids=list(self.failed_ids),
+        )
+        return doc
+
+
+@dataclass
+class _Batch:
+    """One ``run_batch`` call's run state (see the module docstring)."""
+
+    store: JobStore
+    cache: ResultCache
+    library: DeviceLibrary | None
+    tracer: Tracer
+    sink: TelemetrySink | None
+    faults: FaultPlan | None
+    report: BatchReport
+    started: float = field(default_factory=time.perf_counter)
+    # The work heap preserves the store's (priority, round-robin, FIFO)
+    # dispatch order -- ``seq`` rises monotonically, so a retry rejoins
+    # *behind* queued work of its own priority but still ahead of lower
+    # priorities.
+    heap: list[tuple[int, int, Job, str]] = field(default_factory=list)
+    seq: Iterator[int] = field(default_factory=itertools.count)
+    partition_keys: dict[str, str] = field(default_factory=dict)
+    # job id -> (result key, tracer time) of its attempt in flight
+    claims: dict[str, tuple[str, float]] = field(default_factory=dict)
+    shape: tuple[int, int] | None = None  # last recorded occupancy
+
+    def push(self, job: Job, key: str) -> None:
+        heapq.heappush(self.heap, (-job.priority, next(self.seq), job, key))
+
+    def pop(self) -> tuple[Job, str]:
+        _prio, _seq, job, key = heapq.heappop(self.heap)
+        return job, key
+
+    def serve_cached(self) -> None:
+        """Phase 1: serve every job already answered by the cache.
+
+        A job whose spec cannot even be keyed (unparseable XML, unknown
+        device) fails terminally here -- the failure is deterministic
+        before any worker could run, so retrying it is pointless.
+        Replay jobs probe the replay record store (a sibling subtree of
+        the partition cache) instead of the cache itself -- in ONE bulk
+        ``probe_many`` over every member record key, so a fully cached
+        N-trace sweep costs O(segments) reads, not N file opens.  A
+        replay-batch job is a hit exactly when every one of its member
+        records is stored.  Each distinct problem spec is parsed and
+        keyed once per call, however many policies and trace batches
+        replay it; the worker payload carries the partition key, so a
+        worker parses the XML only when it has to search.  Misses go
+        onto the work heap.
+        """
+        store, report, tracer = self.store, self.report, self.tracer
+        keyed: list[tuple[Job, str, list[str] | None]] = []
+        replay_members: list[str] = []
+        problems: dict[tuple, tuple[str, ResolvedProblem]] = {}
+        for job in store.pending():
+            spec = (job.design_xml, job.device, job.max_candidate_sets)
+            try:
+                if spec not in problems:
+                    problem = resolve_problem_text(
+                        job.design_xml, job.device, self.library
+                    )
+                    problems[spec] = (
+                        problem.key(job.max_candidate_sets), problem
+                    )
+                pkey, problem = problems[spec]
+                if job.kind == "replay-batch":
+                    from ..replay.service import replay_keys
+
+                    key, members = replay_keys(job, pkey, problem.design)
+                else:
+                    key, members = pkey, None
+            except Exception:
+                error = traceback.format_exc()
+                while job.state != "failed":
+                    store.mark_running(job.id)
+                    job = store.mark_failed(job.id, error)
+                self.failure(job, None, timed_out=False)
+                continue
+            self.partition_keys[job.id] = pkey
+            keyed.append((job, key, members))
+            if members is not None:
+                replay_members.extend(members)
+
+        present: set[str] = set()
+        if replay_members:
+            from ..replay.service import replay_store_for
+
+            replay_store = replay_store_for(self.cache)
+            probe_started = time.perf_counter()
+            present = replay_store.probe_many(replay_members)
+            tracer.observe(
+                "service.cache_probe_s", time.perf_counter() - probe_started
+            )
+        for job, key, members in keyed:
+            if members is not None:
+                hit = all(m in present for m in members)
+            else:
+                probe_started = time.perf_counter()
+                hit = self.cache.probe(key)
+                tracer.observe(
+                    "service.cache_probe_s", time.perf_counter() - probe_started
+                )
+            if not hit:
+                self.push(job, key)
+                continue
+            store.mark_done(job.id, key, cache_hit=True)
+            report.results[job.id] = key
+            report.cache_hits += 1
+            report.done += 1
+            self.emit("cached", job.id, key)
+        tracer.count("service.cache_hits", report.cache_hits)
+        tracer.count("service.cache_misses", len(self.heap))
+
+    def payload_for(self, job: Job, key: str) -> dict[str, Any]:
+        """Claim ``job`` and build its worker payload."""
+        claimed = self.store.mark_running(job.id)
+        self.claims[job.id] = (key, self.tracer.now())
+        if self.tracer.enabled:
+            self.tracer.progress("batch.job_started", job=job.id, key=key)
+        payload: dict[str, Any] = {
+            "job_id": job.id,
+            "design_xml": job.design_xml,
+            "device": job.device,
+            "max_candidate_sets": job.max_candidate_sets,
+            "kind": job.kind,
+            "replay": job.replay,
+            "cache_root": str(self.cache.root),
+            "partition_key": self.partition_keys[job.id],
+            "library": self.library,
+            "collect_trace": self.tracer.enabled or self.sink is not None,
         }
+        if self.faults:
+            payload["fault"] = self.faults.payload_for(
+                job.name, claimed.attempts
+            )
+        return payload
 
+    def settle(self, outcome: dict[str, Any]) -> None:
+        """Book one worker outcome: its trace, resources and result."""
+        tracer, report = self.tracer, self.report
+        report.busy_s += outcome.get("compute_s") or 0.0
+        job_id = outcome["job_id"]
+        key, started_rel = self.claims.pop(job_id)
+        if outcome.get("trace") and isinstance(tracer, RecordingTracer):
+            # Re-root the worker's shipped trace under the batch span.
+            tracer.adopt_trace(
+                outcome["trace"], name="job", start_s=started_rel,
+                job=job_id, key=key,
+            )
+        resources = outcome.get("resources")
+        if resources:
+            tracer.observe(
+                "service.job_cpu_s",
+                (resources.get("cpu_user_s") or 0.0)
+                + (resources.get("cpu_sys_s") or 0.0),
+            )
+            if self.sink is not None:
+                self.sink.append(
+                    "resource", job=job_id, live=False, **resources
+                )
+        if not outcome["ok"]:
+            job = self.store.mark_failed(job_id, outcome["error"])
+            self.failure(job, key, bool(outcome.get("timeout")))
+            return
+        self.store.mark_done(
+            job_id, outcome["key"], cache_hit=False,
+            compute_s=outcome["compute_s"],
+        )
+        report.results[job_id] = outcome["key"]
+        report.computed += 1
+        report.done += 1
+        if outcome.get("batch"):
+            tracer.count("replay.batch_jobs", 1)
+        tracer.observe("service.job_wall_s", outcome["compute_s"])
+        replay = outcome.get("replay")
+        self.emit(
+            "done", job_id, outcome["key"],
+            record={} if replay is None else {"replay": replay},
+            total_frames=outcome["total_frames"],
+            compute_s=outcome["compute_s"],
+        )
 
-class _PoolTelemetry:
-    """Occupancy gauges and per-job resource records for one ``run_batch``.
+    def failure(self, job: Job, key: str | None, timed_out: bool) -> None:
+        """Re-queue a failed attempt under its attempt cap, else fail it
+        (an unkeyable job arrives already ``failed``, with no key)."""
+        self.report.timeouts += timed_out
+        if job.state == "failed":
+            self.report.failed += 1
+            self.report.failed_ids += (job.id,)
+            status = "failed"
+        else:
+            self.report.retries += 1
+            self.push(job, key)
+            status = "retried"
+        self.emit(status, job.id, key, record={"timeout": timed_out},
+                  attempts=job.attempts)
 
-    One instance per run, shared by the inline and pool drains.  It
-    deduplicates occupancy samples (a supervised drain observes the same
-    shape thousands of times; only *changes* land in the sink) and keeps
-    the tracer's ``service.pool_in_flight`` /
-    ``service.pool_queue_depth`` gauges current.
-    """
-
-    def __init__(self, sink: TelemetrySink | None, tracer: Tracer):
-        self.sink = sink
-        self.tracer = tracer
-        self._last: tuple[int, int] | None = None
-        self.peak_in_flight = 0
+    def emit(self, status: str, job_id: str, key: str | None,
+             record: dict[str, Any] | None = None, **payload: Any) -> None:
+        """Publish one job outcome: the ``batch.job_<status>`` progress
+        event carries ``payload``; the sink ``job`` record carries it
+        plus ``record``."""
+        if self.tracer.enabled:
+            self.tracer.progress(
+                f"batch.job_{status}", job=job_id, key=key, **payload
+            )
+        if self.sink is not None:
+            self.sink.append(
+                "job", job=job_id, key=key, status=status, **payload,
+                **(record or {}),
+            )
 
     def occupancy(self, in_flight: int, queue_depth: int) -> None:
-        """Record the pool shape; no-op unless it changed."""
-        self.peak_in_flight = max(self.peak_in_flight, in_flight)
-        shape = (in_flight, queue_depth)
-        if shape == self._last:
+        """Record the pool shape in the ``service.pool_*`` gauges and the
+        sink -- only on a change: a supervised drain observes the same
+        shape thousands of times."""
+        if (in_flight, queue_depth) == self.shape:
             return
-        self._last = shape
+        self.shape = (in_flight, queue_depth)
         self.tracer.gauge("service.pool_in_flight", float(in_flight))
         self.tracer.gauge("service.pool_queue_depth", float(queue_depth))
         if self.sink is not None:
@@ -287,20 +483,28 @@ class _PoolTelemetry:
                 "pool", in_flight=in_flight, queue_depth=queue_depth
             )
 
-    def job(self, outcome: dict[str, Any]) -> None:
-        """Record one job's resource delta (shipped in its outcome)."""
-        resources = outcome.get("resources")
-        if not resources:
-            return
-        self.tracer.observe(
-            "service.job_cpu_s",
-            (resources.get("cpu_user_s") or 0.0)
-            + (resources.get("cpu_sys_s") or 0.0),
-        )
+    def finish(self) -> BatchReport:
+        """Close the drained run: its duration, the ``service.jobs_*``
+        counters and gauges, and the sink's end-of-run ``run`` record."""
+        self.occupancy(0, 0)
+        report, tracer = self.report, self.tracer
+        report.duration_s = time.perf_counter() - self.started
+        tracer.count("service.jobs_done", report.done)
+        tracer.count("service.jobs_failed", report.failed)
+        tracer.count("service.job_retries", report.retries)
+        tracer.count("service.timeouts", report.timeouts)
+        tracer.gauge("service.jobs_per_s", report.jobs_per_s)
+        tracer.gauge("service.cache_hit_rate", report.cache_hit_rate)
         if self.sink is not None:
-            self.sink.append(
-                "resource", job=outcome["job_id"], live=False, **resources
-            )
+            record: dict[str, Any] = {"report": report.to_dict()}
+            if isinstance(tracer, RecordingTracer):
+                record["counters"] = dict(tracer.counters)
+                record["gauges"] = dict(tracer.gauges)
+                record["histograms"] = {
+                    name: h.to_dict() for name, h in tracer.histograms.items()
+                }
+            self.sink.append("run", **record)
+        return report
 
 
 def run_batch(
@@ -319,16 +523,13 @@ def run_batch(
 
     ``job_timeout_s`` is the per-job wall deadline; ``heartbeat_timeout_s``
     the staleness threshold on worker beats (beats are emitted every
-    ``heartbeat_interval_s``).  Setting either engages *supervision*, a
-    policy on the warm worker pool: the drain loop kills and replaces a
-    worker that overruns, and jobs run on the pool even with
-    ``workers=1``.  Without supervision, ``workers=1`` runs jobs inline
-    in the parent (nothing can preempt the caller's own thread) and
-    ``workers>1`` runs them on the pool.  The pool is persistent: its
-    workers survive across batches.  ``faults`` is the deterministic
-    test-only plan from :mod:`repro.service.faults`; a ``hang`` in it
-    needs one of the two thresholds, or nothing could ever end the
-    batch.
+    ``heartbeat_interval_s``).  Setting either engages supervision (see
+    the module docstring), and jobs then run on the pool even with
+    ``workers=1``; unsupervised, ``workers=1`` runs them inline in the
+    parent, since nothing can preempt the caller's own thread.
+    ``faults`` is the deterministic test-only plan from
+    :mod:`repro.service.faults`; a ``hang`` in it needs one of the two
+    thresholds, or nothing could ever end the batch.
 
     ``sink`` persists the run's telemetry (progress events, one ``job``
     record per outcome keyed by job id + problem key, one end-of-run
@@ -350,301 +551,31 @@ def run_batch(
             "to ever be detected -- refusing to deadlock the batch"
         )
     tracer = tracer or NULL_TRACER
-    collect_worker_traces = tracer.enabled or sink is not None
+    pending = len(store.pending())
+    batch = _Batch(store, cache, library, tracer, sink, faults,
+                   BatchReport(total=pending, workers=workers))
     if sink is not None:
         sink.attach(tracer)
-    started = time.perf_counter()
-    hits = computed = failed = retries = timeouts = 0
-    busy_s = 0.0
-    failed_ids: list[Job] = []
-    results: dict[str, str] = {}
-    partition_key: dict[str, str] = {}  # job id -> partition problem key
-    job_started_rel: dict[str, float] = {}
-    initial = len(store.pending())
-    pool_tele = _PoolTelemetry(sink, tracer)
-
-    if sink is not None:
         sink.append(
-            "pool", phase="start", pending=initial, workers=workers,
-            in_flight=0, queue_depth=initial,
+            "pool", phase="start", pending=pending, workers=workers,
+            in_flight=0, queue_depth=pending,
         )
 
-    with tracer.span("batch_run", workers=workers, pending=initial):
-        # Phase 1: serve every job already answered by the cache.  A job
-        # whose spec cannot even be keyed (unparseable XML, unknown
-        # device) fails terminally here -- the failure is deterministic
-        # before any worker could run, so retrying it is pointless.
-        # Replay jobs probe the replay record store (a sibling subtree
-        # of the partition cache) instead of the cache itself -- in ONE
-        # bulk ``probe_many`` over every member record key, so a fully
-        # cached N-trace sweep costs O(segments) reads, not N file
-        # opens.  A replay-batch job is a hit exactly when
-        # every one of its member records is stored.  Each distinct
-        # problem spec is parsed and keyed once per call, however many
-        # policies and trace batches replay it; the worker payload
-        # carries the partition key, so a worker parses the XML only
-        # when it has to search.
-        keyed: list[tuple[Job, str, list[str] | None]] = []
-        replay_members: list[str] = []
-        problems: dict[tuple, tuple[str, ResolvedProblem]] = {}
-        for job in store.pending():
-            spec = (job.design_xml, job.device, job.max_candidate_sets)
-            try:
-                if spec not in problems:
-                    problem = resolve_problem_text(
-                        job.design_xml, job.device, library
-                    )
-                    problems[spec] = (
-                        problem.key(job.max_candidate_sets), problem
-                    )
-                pkey, problem = problems[spec]
-                if job.kind == "replay-batch":
-                    from ..replay.service import replay_keys
-
-                    key, members = replay_keys(job, pkey, problem.design)
-                else:
-                    key, members = pkey, None
-            except Exception:
-                error = traceback.format_exc()
-                while True:
-                    store.mark_running(job.id)
-                    job = store.mark_failed(job.id, error)
-                    if job.state == "failed":
-                        break
-                failed += 1
-                failed_ids.append(job)
-                if tracer.enabled:
-                    tracer.progress(
-                        "batch.job_failed",
-                        job=job.id,
-                        key=None,
-                        attempts=job.attempts,
-                    )
-                if sink is not None:
-                    sink.append(
-                        "job", job=job.id, key=None, status="failed",
-                        attempts=job.attempts, timeout=False,
-                    )
-                continue
-            partition_key[job.id] = pkey
-            keyed.append((job, key, members))
-            if members is not None:
-                replay_members.extend(members)
-
-        present: set[str] = set()
-        if replay_members:
-            from ..replay.service import replay_store_for
-
-            replay_store = replay_store_for(cache)
-            probe_started = time.perf_counter()
-            present = replay_store.probe_many(replay_members)
-            tracer.observe(
-                "service.cache_probe_s", time.perf_counter() - probe_started
-            )
-
-        misses: list[tuple[Job, str]] = []
-        for job, key, members in keyed:
-            if members is not None:
-                hit = all(m in present for m in members)
-            else:
-                probe_started = time.perf_counter()
-                hit = cache.probe(key)
-                tracer.observe(
-                    "service.cache_probe_s", time.perf_counter() - probe_started
-                )
-            if hit:
-                store.mark_done(job.id, key, cache_hit=True)
-                results[job.id] = key
-                hits += 1
-                if tracer.enabled:
-                    tracer.progress("batch.job_cached", job=job.id, key=key)
-                if sink is not None:
-                    sink.append("job", job=job.id, key=key, status="cached")
-            else:
-                misses.append((job, key))
-        tracer.count("service.cache_hits", hits)
-        tracer.count("service.cache_misses", len(misses))
-
-        # Phase 2: compute the misses, re-queueing failures until their
-        # attempt caps.  The work heap preserves the store's (priority,
-        # round-robin, FIFO) dispatch order -- ``seq`` rises
-        # monotonically, so a retry rejoins *behind* queued work of its
-        # own priority but still ahead of lower priorities.
-        key_of = {job.id: key for job, key in misses}
-        heap: list[tuple[int, int, Job, str]] = []
-        seq = 0
-
-        def push(job: Job, key: str) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (-job.priority, seq, job, key))
-            seq += 1
-
-        for job, key in misses:
-            push(job, key)
-
-        def adopt(outcome: dict[str, Any], job_id: str, key: str) -> None:
-            """Re-root a worker's shipped trace under the batch span."""
-            if not outcome.get("trace"):
-                return
-            if isinstance(tracer, RecordingTracer):
-                tracer.adopt_trace(
-                    outcome["trace"],
-                    name="job",
-                    start_s=job_started_rel.get(job_id),
-                    job=job_id,
-                    key=key,
-                )
-
-        def handle(outcome: dict[str, Any]) -> None:
-            nonlocal computed, failed, retries, timeouts, busy_s
-            busy_s += outcome.get("compute_s") or 0.0
-            job_id = outcome["job_id"]
-            key = key_of[job_id]
-            adopt(outcome, job_id, key)
-            pool_tele.job(outcome)
-            if outcome["ok"]:
-                store.mark_done(
-                    job_id,
-                    outcome["key"],
-                    cache_hit=False,
-                    compute_s=outcome["compute_s"],
-                )
-                results[job_id] = outcome["key"]
-                computed += 1
-                if outcome.get("batch"):
-                    tracer.count("replay.batch_jobs", 1)
-                tracer.observe("service.job_wall_s", outcome["compute_s"])
-                if tracer.enabled:
-                    tracer.progress(
-                        "batch.job_done",
-                        job=job_id,
-                        key=outcome["key"],
-                        total_frames=outcome["total_frames"],
-                        compute_s=outcome["compute_s"],
-                    )
-                if sink is not None:
-                    extra: dict[str, Any] = {}
-                    if outcome.get("replay") is not None:
-                        extra["replay"] = outcome["replay"]
-                    sink.append(
-                        "job", job=job_id, key=outcome["key"], status="done",
-                        compute_s=outcome["compute_s"],
-                        total_frames=outcome["total_frames"],
-                        **extra,
-                    )
-                return
-            timed_out = bool(outcome.get("timeout"))
-            if timed_out:
-                timeouts += 1
-            job = store.mark_failed(job_id, outcome["error"])
-            if job.state == "failed":
-                failed += 1
-                failed_ids.append(job)
-                status = "failed"
-                if tracer.enabled:
-                    tracer.progress(
-                        "batch.job_failed",
-                        job=job_id,
-                        key=key,
-                        attempts=job.attempts,
-                    )
-            else:
-                retries += 1
-                push(job, key)
-                status = "retried"
-                if tracer.enabled:
-                    tracer.progress(
-                        "batch.job_retried",
-                        job=job_id,
-                        key=key,
-                        attempts=job.attempts,
-                    )
-            if sink is not None:
-                sink.append(
-                    "job", job=job_id, key=key, status=status,
-                    attempts=job.attempts, timeout=timed_out,
-                )
-
-        def payload_for(job: Job, key: str) -> dict[str, Any]:
-            claimed = store.mark_running(job.id)
-            job_started_rel[job.id] = tracer.now()
-            if tracer.enabled:
-                tracer.progress("batch.job_started", job=job.id, key=key)
-            payload: dict[str, Any] = {
-                "job_id": job.id,
-                "design_xml": job.design_xml,
-                "device": job.device,
-                "max_candidate_sets": job.max_candidate_sets,
-                "kind": job.kind,
-                "replay": job.replay,
-                "cache_root": str(cache.root),
-                "partition_key": partition_key[job.id],
-                "library": library,
-                "collect_trace": collect_worker_traces,
-            }
-            if faults:
-                payload["fault"] = faults.payload_for(job.name, claimed.attempts)
-            return payload
-
+    with tracer.span("batch_run", workers=workers, pending=pending):
+        batch.serve_cached()
         if workers == 1 and not supervised:
             # Nothing to preempt: run in the caller's own process.
-            while heap:
-                _prio, _seq, job, key = heapq.heappop(heap)
-                pool_tele.occupancy(1, len(heap))
-                handle(execute_job_payload(payload_for(job, key)))
-        elif heap:
-            policy = None
-            if supervised:
-                workdir = store.directory / WORK_DIRNAME
-                workdir.mkdir(parents=True, exist_ok=True)
-                policy = _Supervision(
-                    workdir, job_timeout_s, heartbeat_interval_s,
-                    heartbeat_timeout_s,
-                )
-            _drain(heap, workers, payload_for, handle, pool_tele, tracer,
-                   policy)
-        pool_tele.occupancy(0, 0)
-
-        duration = time.perf_counter() - started
-        tracer.count("service.jobs_done", hits + computed)
-        tracer.count("service.jobs_failed", failed)
-        tracer.count("service.job_retries", retries)
-        tracer.count("service.timeouts", timeouts)
-        # Same definition as BatchReport.jobs_per_s: jobs drained
-        # (total == done + failed once the queue is empty) per second.
-        tracer.gauge(
-            "service.jobs_per_s", initial / duration if duration > 0 else 0.0
-        )
-        tracer.gauge(
-            "service.cache_hit_rate",
-            hits / initial if initial else 0.0,
-        )
-
-    report = BatchReport(
-        total=initial,
-        done=hits + computed,
-        failed=failed,
-        cache_hits=hits,
-        computed=computed,
-        retries=retries,
-        timeouts=timeouts,
-        workers=workers,
-        duration_s=duration,
-        busy_s=busy_s,
-        failed_ids=tuple(j.id for j in failed_ids),
-        results=results,
-    )
-    if sink is not None:
-        record: dict[str, Any] = {"report": report.to_dict()}
-        if isinstance(tracer, RecordingTracer):
-            trace = tracer.trace()
-            record["counters"] = dict(trace.counters)
-            record["gauges"] = dict(trace.gauges)
-            record["histograms"] = {
-                name: h.to_dict() for name, h in trace.histograms.items()
-            }
-        sink.append("run", **record)
-    return report
+            while batch.heap:
+                job, key = batch.pop()
+                batch.occupancy(1, len(batch.heap))
+                batch.settle(execute_job_payload(batch.payload_for(job, key)))
+        elif batch.heap:
+            policy = _Supervision(
+                store.directory / WORK_DIRNAME, job_timeout_s,
+                heartbeat_interval_s, heartbeat_timeout_s,
+            )
+            _drain(batch, workers, policy if supervised else None)
+        return batch.finish()
 
 
 def _serve(conn) -> None:
@@ -724,9 +655,8 @@ class _Pool:
             worker.stop(wait)
 
 
-#: Persistent warm batch pools, cached per worker count.  Workers
-#: survive across jobs *and* ``run_batch`` calls, so a batch pays no
-#: process start-up per job.
+#: The persistent warm batch pools (module docstring, phase 2), cached
+#: per worker count.
 _WARM_EXECUTORS: dict[int, _Pool] = {}
 
 
@@ -758,12 +688,8 @@ class _Flight:
     job: Job
     key: str
     started_perf: float
-    started_wall: float
+    last_beat_wall: float  # the dispatch time until a beat lands
     heartbeat_path: Path | None = None
-    last_beat_wall: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.last_beat_wall = self.started_wall
 
 
 @dataclass(frozen=True)
@@ -777,6 +703,7 @@ class _Supervision:
 
     def arm(self, payload: dict[str, Any], flight: _Flight) -> None:
         """Make the job's worker beat into a fresh per-job file."""
+        self.workdir.mkdir(parents=True, exist_ok=True)
         flight.heartbeat_path = self.workdir / f"{flight.job.id}.heartbeat"
         flight.heartbeat_path.unlink(missing_ok=True)
         payload["heartbeat_path"] = str(flight.heartbeat_path)
@@ -811,32 +738,32 @@ class _Supervision:
         return None
 
 
-def _drain(heap, workers, payload_for, handle, pool_tele, tracer,
+def _drain(batch: _Batch, workers: int,
            policy: _Supervision | None) -> None:
     """The one multi-process drain loop, on the warm pool of ``workers``.
 
-    Every idle worker takes the next job off ``heap``; every outcome
-    frees its worker for the next one (``handle`` may push a retry back
-    onto ``heap``).  The loop waits on the busy workers' pipes and
-    process sentinels: with no ``policy`` it blocks until one reports
-    or dies; under a policy it also wakes every :data:`DEFAULT_POLL_S`
-    and kills and replaces each worker the policy finds overdue.  A
-    worker that dies unprompted fails only its own job and is replaced
-    before its slot is used again.
+    Every idle worker takes the next job off ``batch.heap``; every
+    outcome frees its worker for the next one (``batch.settle`` may push
+    a retry back onto the heap).  The loop waits on the busy workers'
+    pipes and process sentinels: with no ``policy`` it blocks until one
+    reports or dies; under a policy it also wakes every
+    :data:`DEFAULT_POLL_S` and kills and replaces each worker the policy
+    finds overdue.  A worker that dies unprompted fails only its own job
+    and is replaced before its slot is used again.
     """
     pool = _warm_executor(workers)
     busy: dict[_Worker, _Flight] = {}
     try:
-        while heap or busy:
+        while batch.heap or busy:
             for worker in list(pool.workers):
-                if not heap:
+                if not batch.heap:
                     break
                 if worker in busy:
                     continue
                 if not worker.process.is_alive():
                     worker = pool.replace(worker)
-                _prio, _seq, job, key = heapq.heappop(heap)
-                payload = payload_for(job, key)
+                job, key = batch.pop()
+                payload = batch.payload_for(job, key)
                 flight = _Flight(job, key, time.perf_counter(), time.time())
                 if policy is not None:
                     policy.arm(payload, flight)
@@ -845,7 +772,7 @@ def _drain(heap, workers, payload_for, handle, pool_tele, tracer,
                 with suppress(OSError):
                     worker.submit(execute_job_payload, payload)
                 busy[worker] = flight
-            pool_tele.occupancy(len(busy), len(heap))
+            batch.occupancy(len(busy), len(batch.heap))
             ready = set(wait(
                 [w.conn for w in busy] + [w.process.sentinel for w in busy],
                 timeout=None if policy is None else DEFAULT_POLL_S,
@@ -854,17 +781,17 @@ def _drain(heap, workers, payload_for, handle, pool_tele, tracer,
                 if worker.conn in ready or worker.process.sentinel in ready:
                     outcome = _collect(worker, flight, pool)
                 elif policy is not None:
-                    reason = policy.overdue(flight, tracer)
+                    reason = policy.overdue(flight, batch.tracer)
                     if reason is None:
                         continue
                     pool.replace(worker)
-                    outcome = _timeout(flight, reason, tracer)
+                    outcome = _timeout(flight, reason, batch.tracer)
                 else:
                     continue
                 del busy[worker]
                 if flight.heartbeat_path is not None:
                     flight.heartbeat_path.unlink(missing_ok=True)
-                handle(outcome)
+                batch.settle(outcome)
     finally:
         if busy:
             # Interrupted with jobs in flight: never leak a busy worker
@@ -883,14 +810,11 @@ def _collect(worker: _Worker, flight: _Flight, pool: _Pool) -> dict[str, Any]:
     worker.process.join(timeout=5.0)
     exitcode = worker.process.exitcode
     pool.replace(worker)
-    return {
-        "job_id": flight.job.id,
-        "ok": False,
-        "error": (
-            f"worker process died without reporting (exit code {exitcode})"
-        ),
-        "compute_s": time.perf_counter() - flight.started_perf,
-    }
+    return _failed(
+        flight.job.id,
+        f"worker process died without reporting (exit code {exitcode})",
+        flight.started_perf,
+    )
 
 
 def _timeout(flight: _Flight, reason: str, tracer: Tracer) -> dict[str, Any]:
@@ -901,10 +825,5 @@ def _timeout(flight: _Flight, reason: str, tracer: Tracer) -> dict[str, Any]:
             "batch.job_timeout", job=flight.job.id, key=flight.key,
             reason=reason, elapsed_s=elapsed,
         )
-    return {
-        "job_id": flight.job.id,
-        "ok": False,
-        "error": f"timeout after {elapsed:.2f}s: {reason}",
-        "compute_s": elapsed,
-        "timeout": True,
-    }
+    return _failed(flight.job.id, f"timeout after {elapsed:.2f}s: {reason}",
+                   flight.started_perf, timeout=True)

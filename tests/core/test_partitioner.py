@@ -98,14 +98,6 @@ class TestPartition:
         assert opts.allocation.pair_weights is weights
         assert allocation.pair_weights is weights
 
-    def test_disable_single_region_fallback(self, tiny_design):
-        budget = ResourceVector(260, 0, 0)
-        opts = PartitionerOptions(include_single_region=False)
-        result = partition(tiny_design, budget, opts)
-        # The fallback is still surfaced so device escalation can occur.
-        assert result.scheme.strategy == "single-region"
-        assert result.only_single_region_feasible
-
     def test_usage_property(self, paper_example):
         result = partition(paper_example, ResourceVector(2000, 50, 50))
         assert result.usage == result.scheme.resource_usage()
@@ -185,18 +177,6 @@ class TestDeviceSelection:
         assert dres.initial_device.name == "LX20T"
         assert dres.escalated
         assert not dres.result.only_single_region_feasible
-
-    def test_max_escalations_cap(self, ladder):
-        d = make_design(
-            {
-                "A": {"a1": (2900, 0, 0), "a2": (2800, 0, 0)},
-                "B": {"b1": (100, 0, 0), "b2": (300, 0, 0)},
-            },
-            [("a1", "b1"), ("a2", "b2")],
-        )
-        dres = partition_with_device_selection(d, ladder, max_escalations=0)
-        assert dres.device.name == "LX20T"
-        assert dres.result.only_single_region_feasible
 
     def test_top_of_ladder_stops(self, ladder):
         # Single-region fits only the largest device; nothing else does.

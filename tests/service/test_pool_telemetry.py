@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.flow.xmlio import design_to_xml
 from repro.obs import (
     RecordingTracer,
     TelemetrySink,
@@ -20,7 +21,9 @@ from repro.obs import (
     render_trace_summary,
     trace_from_dict,
 )
+from repro.replay import POLICY_PRESETS, TraceSpec
 from repro.service import JobStore, ResultCache, run_batch
+from repro.service.faults import FaultPlan
 
 from ..conftest import make_design
 
@@ -263,3 +266,195 @@ class TestSinkIntegration:
         ]
         assert record["status"] == "failed"
         assert record["key"] is None
+
+
+#: Reserved header fields every sink record carries.
+HEADER = {"v", "kind", "ts"}
+
+
+class TestTelemetryContract:
+    """The exact field sets of every batch job outcome's telemetry.
+
+    One inline batch covers a cached, a computed (partition and replay),
+    a ``fail-once``, a ``crash`` and an unkeyable job; one supervised
+    batch covers a ``hang`` that times out.  Each status's progress
+    event payload and sink ``job`` record must carry exactly the keys
+    docs/OBSERVABILITY.md documents -- no more, no fewer.
+    """
+
+    PROGRESS = {
+        "batch.job_cached": {"job", "key"},
+        "batch.job_started": {"job", "key"},
+        "batch.job_done": {"job", "key", "total_frames", "compute_s"},
+        "batch.job_retried": {"job", "key", "attempts"},
+        "batch.job_failed": {"job", "key", "attempts"},
+        "batch.job_timeout": {"job", "key", "reason", "elapsed_s"},
+    }
+    JOB_RECORD = {
+        "cached": HEADER | {"job", "key", "status"},
+        "done": HEADER | {"job", "key", "status", "compute_s",
+                          "total_frames"},
+        "retried": HEADER | {"job", "key", "status", "attempts", "timeout"},
+        "failed": HEADER | {"job", "key", "status", "attempts", "timeout"},
+    }
+    REPORT_KEYS = {
+        "total", "done", "failed", "cache_hits", "computed", "retries",
+        "timeouts", "workers", "duration_s", "busy_s", "jobs_per_s",
+        "cache_hit_rate", "worker_utilisation", "failed_ids",
+    }
+    TIMING_KEYS = {"duration_s", "busy_s", "jobs_per_s",
+                   "worker_utilisation"}
+
+    def _check_events(self, tracer, records):
+        events = [e for e in tracer.events if e.name.startswith("batch.job")]
+        for event in events:
+            assert set(event.payload) == self.PROGRESS[event.name], event.name
+        # The sink mirrors every progress event verbatim.
+        mirrored = [
+            (r["name"], r["payload"]) for r in records
+            if r["kind"] == "event" and r["name"].startswith("batch.job")
+        ]
+        assert mirrored == [(e.name, dict(e.payload)) for e in events]
+        return events
+
+    def _check_jobs(self, records):
+        jobs = [r for r in records if r["kind"] == "job"]
+        for record in jobs:
+            assert set(record) == self.JOB_RECORD[record["status"]] | (
+                {"replay"} if "replay" in record else set()
+            ), record["status"]
+        return jobs
+
+    def _check_run(self, records, report):
+        (run,) = [r for r in records if r["kind"] == "run"]
+        assert set(run) == HEADER | {"report", "counters", "gauges",
+                                     "histograms"}
+        assert run["report"] == report.to_dict()
+        counters = run["counters"]
+        assert counters["service.jobs_done"] == report.done
+        assert counters["service.jobs_failed"] == report.failed
+        assert counters["service.job_retries"] == report.retries
+        assert counters["service.timeouts"] == report.timeouts
+        assert counters["service.cache_hits"] == report.cache_hits
+        assert {"service.jobs_per_s", "service.cache_hit_rate",
+                "service.pool_in_flight",
+                "service.pool_queue_depth"} <= set(run["gauges"])
+        assert run["gauges"]["service.pool_in_flight"] == 0.0
+        assert run["gauges"]["service.pool_queue_depth"] == 0.0
+
+    def _report_counts(self, report):
+        doc = report.to_dict()
+        assert set(doc) == self.REPORT_KEYS
+        return {k: v for k, v in doc.items() if k not in self.TIMING_KEYS}
+
+    def test_inline_batch_outcomes(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        warmup = JobStore.open(tmp_path / "warm")
+        warmup.submit_design(simple_design("warm", clb=30), device="LX30")
+        assert run_batch(warmup, cache).computed == 1
+
+        store = JobStore.open(tmp_path / "q")
+        ids = {}
+        ids["warm"] = store.submit_design(
+            simple_design("warm", clb=30), device="LX30").id
+        ids["poison"] = store.submit(
+            name="poison", design_xml="<not-a-design>", max_attempts=2).id
+        ids["ok"] = store.submit_design(
+            simple_design("ok", clb=41), device="LX30").id
+        ids["flaky"] = store.submit_design(
+            simple_design("flaky", clb=42), device="LX30").id
+        ids["doomed"] = store.submit_design(
+            simple_design("doomed", clb=43), device="LX30",
+            max_attempts=2).id
+        spec = TraceSpec(environment="bursty", length=20, seed=5)
+        ids["replay"] = store.submit(
+            name="replay",
+            design_xml=design_to_xml(simple_design("r", clb=44),
+                                     device_name="LX30"),
+            device="LX30", kind="replay-batch",
+            replay={"traces": [spec.to_dict()],
+                    "policy": POLICY_PRESETS["no-prefetch"].to_dict()},
+        ).id
+        name_of = {v: k for k, v in ids.items()}
+
+        tracer = RecordingTracer()
+        sink = TelemetrySink(tmp_path / "tele")
+        report = run_batch(
+            store, cache, workers=1, tracer=tracer, sink=sink,
+            faults=FaultPlan.parse(["fail-once:flaky", "crash:doomed"]),
+        )
+        records = load_telemetry(tmp_path / "tele")
+
+        assert self._report_counts(report) == {
+            "total": 6, "done": 4, "failed": 2, "cache_hits": 1,
+            "computed": 3, "retries": 2, "timeouts": 0, "workers": 1,
+            "cache_hit_rate": 1 / 6,
+            "failed_ids": [ids["poison"], ids["doomed"]],
+        }
+
+        # Phase 1 keys every job (failing the unkeyable) before probing.
+        events = self._check_events(tracer, records)
+        assert [(e.name, name_of[e.payload["job"]]) for e in events
+                if e.name != "batch.job_started"] == [
+            ("batch.job_failed", "poison"),
+            ("batch.job_cached", "warm"),
+            ("batch.job_done", "ok"),
+            ("batch.job_retried", "flaky"),
+            ("batch.job_retried", "doomed"),
+            ("batch.job_done", "replay"),
+            ("batch.job_done", "flaky"),
+            ("batch.job_failed", "doomed"),
+        ]
+
+        jobs = self._check_jobs(records)
+        assert [(name_of[r["job"]], r["status"]) for r in jobs] == [
+            ("poison", "failed"), ("warm", "cached"), ("ok", "done"),
+            ("flaky", "retried"), ("doomed", "retried"),
+            ("replay", "done"), ("flaky", "done"), ("doomed", "failed"),
+        ]
+        by_name = {name_of[r["job"]]: r for r in jobs}
+        assert by_name["poison"]["key"] is None
+        assert by_name["poison"]["attempts"] == 2
+        assert by_name["doomed"]["attempts"] == 2
+        assert "replay" in by_name["replay"]
+        assert not any(r.get("timeout") for r in jobs)
+
+        kinds = [r["kind"] for r in records]
+        # start + one per changed (in_flight, queue_depth) shape + (0, 0)
+        assert kinds.count("pool") == 6
+        assert kinds.count("resource") == 6  # one per worker outcome
+        assert kinds.count("run") == 1
+        self._check_run(records, report)
+
+    def test_supervised_timeout_outcomes(self, tmp_path):
+        store = JobStore.open(tmp_path / "q")
+        victim = store.submit_design(
+            simple_design("victim"), device="LX30", max_attempts=2)
+        tracer = RecordingTracer()
+        sink = TelemetrySink(tmp_path / "tele")
+        report = run_batch(
+            store, ResultCache(tmp_path / "c"), workers=1, tracer=tracer,
+            sink=sink, faults=FaultPlan.parse(["hang:victim"]),
+            job_timeout_s=0.3,
+        )
+        records = load_telemetry(tmp_path / "tele")
+
+        assert self._report_counts(report) == {
+            "total": 1, "done": 0, "failed": 1, "cache_hits": 0,
+            "computed": 0, "retries": 1, "timeouts": 2, "workers": 1,
+            "cache_hit_rate": 0.0, "failed_ids": [victim.id],
+        }
+        events = self._check_events(tracer, records)
+        assert [e.name for e in events] == [
+            "batch.job_started", "batch.job_timeout", "batch.job_retried",
+            "batch.job_started", "batch.job_timeout", "batch.job_failed",
+        ]
+        jobs = self._check_jobs(records)
+        assert [(r["status"], r["attempts"], r["timeout"]) for r in jobs] == [
+            ("retried", 1, True), ("failed", 2, True),
+        ]
+        kinds = [r["kind"] for r in records]
+        assert kinds.count("pool") == 3  # start, (1, 0), (0, 0)
+        assert kinds.count("resource") == 0  # a killed worker ships none
+        assert kinds.count("run") == 1
+        self._check_run(records, report)

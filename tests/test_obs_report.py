@@ -276,6 +276,24 @@ class TestBenchDiff:
         with pytest.raises(BenchDiffError, match="cannot read"):
             load_bench(tmp_path / "absent.json")
 
+    def test_different_workload_sizes_refused(self):
+        old = {**_bench_doc(a=4.3), "records": {"config": "large",
+                                                "designs": 4}}
+        small = {**_bench_doc(a=0.02), "records": {"config": "small",
+                                                   "designs": 2}}
+        with pytest.raises(BenchDiffError, match="records.config"):
+            bench_diff(old, small)
+        fewer = {**_bench_doc(a=2.0), "records": {"config": "large",
+                                                  "designs": 2}}
+        with pytest.raises(BenchDiffError, match="records.designs"):
+            bench_diff(old, fewer)
+        # Equal sizes, or a side that states none, still compare.
+        same = {**_bench_doc(a=4.0), "records": {"config": "large",
+                                                 "designs": 4}}
+        assert bench_diff(old, same).deltas[0].ratio == pytest.approx(
+            4.0 / 4.3)
+        assert bench_diff(old, _bench_doc(a=4.0)).deltas
+
     def test_mean_falls_back_to_min(self):
         old = {"suite": "s", "benchmarks": [{"name": "a", "min": 1.0}]}
         new = {"suite": "s", "benchmarks": [{"name": "a", "min": 2.0}]}
