@@ -8,11 +8,10 @@ The spec is pure data, so a trace has a *content address*
 the canonical spec document.  Replay results are keyed by it, which is
 what makes fleet sweeps cache-first (docs/REPLAY.md).
 
-:func:`iter_trace` streams the events one at a time while drawing the
-**exact same rng call sequence** as the eager ``Environment.trace()``
-methods, so a streamed trace is element-for-element identical to the
-list the environment classes build -- verified by tests -- without ever
-materialising it.  A million-event trace costs O(1) memory.
+:func:`iter_trace` streams the events from the generators the eager
+``Environment.trace()`` methods list, so a streamed trace equals the
+list the environment classes build without ever materialising it.  A
+million-event trace costs O(1) memory.
 
 :class:`WorkloadSuite` scales that to fleets: (design index, trace
 index) -> (synthetic design, :class:`TraceSpec`) lazily, deterministic
@@ -27,9 +26,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
-
 from ..core.model import PRDesign
+from ..runtime.adaptive import MatrixRows, check_rows
+from ..runtime.adaptive import iter_bursty, iter_markov, iter_uniform
 from ..synth.generator import generate_population
 
 #: The environment kinds a spec may name, in suite round-robin order.
@@ -45,15 +44,10 @@ class TraceSpecError(ValueError):
     """Raised for malformed trace specifications."""
 
 
-#: Canonical matrix encoding: ((src, ((dst, p), ...)), ...) with rows and
-#: destinations sorted by name -- hashable, JSON-stable, order-preserving
-#: for the rng (the generator walks destinations in this stored order).
-MatrixRows = tuple[tuple[str, tuple[tuple[str, float], ...]], ...]
-
-
 def _canonical_matrix(
     matrix: Mapping[str, Mapping[str, float]] | MatrixRows,
 ) -> MatrixRows:
+    """Rows and destinations sorted by name: hashable and JSON-stable."""
     if isinstance(matrix, tuple):
         rows = matrix
     else:
@@ -235,77 +229,24 @@ def generator_matrix(
 def iter_trace(names: Sequence[str], spec: TraceSpec) -> Iterator[str]:
     """Stream the events of ``spec`` over ``names`` lazily.
 
-    Draws the exact rng call sequence of the eager environment classes
-    (:class:`~repro.runtime.adaptive.UniformEnvironment` etc.), so the
-    streamed trace equals ``env.trace(length, seed)`` element for
-    element -- the equivalence tests in tests/replay/test_trace.py pin
-    this down per environment.
+    The generators are the ones the eager environment classes list
+    (:func:`~repro.runtime.adaptive.iter_uniform` etc.), so the stream
+    equals ``env.trace(length, seed)`` element for element.
     """
     names = list(names)
     if not names:
         raise TraceSpecError("cannot trace a design with no configurations")
     if spec.environment == "uniform":
-        yield from _iter_uniform(names, spec)
+        yield from iter_uniform(names, spec.length, spec.seed)
     elif spec.environment == "markov":
-        yield from _iter_markov(names, spec)
+        rows = resolved_matrix(names, spec)
+        check_rows(names, rows, TraceSpecError)
+        start = spec.start or names[0]
+        if start not in names:
+            raise TraceSpecError(f"unknown start configuration {start!r}")
+        yield from iter_markov(rows, start, spec.length, spec.seed)
     else:
-        yield from _iter_bursty(names, spec)
-
-
-def _iter_uniform(names: list[str], spec: TraceSpec) -> Iterator[str]:
-    if len(names) == 1:
-        # Mirrors UniformEnvironment: ``names * min(length, 1)``.
-        if spec.length >= 1:
-            yield names[0]
-        return
-    rng = np.random.default_rng(spec.seed)
-    current = None
-    for _ in range(spec.length):
-        candidates = [n for n in names if n != current]
-        current = candidates[int(rng.integers(len(candidates)))]
-        yield current
-
-
-def _iter_markov(names: list[str], spec: TraceSpec) -> Iterator[str]:
-    matrix = {src: dict(row) for src, row in resolved_matrix(names, spec)}
-    known = set(names)
-    for src, row in matrix.items():
-        if src not in known:
-            raise TraceSpecError(f"unknown source configuration {src!r}")
-        for dst in row:
-            if dst not in known:
-                raise TraceSpecError(f"unknown destination configuration {dst!r}")
-    missing = known - set(matrix)
-    if missing:
-        raise TraceSpecError(
-            f"transition matrix missing rows for {sorted(missing)}"
-        )
-    rng = np.random.default_rng(spec.seed)
-    current = spec.start or names[0]
-    if current not in known:
-        raise TraceSpecError(f"unknown start configuration {current!r}")
-    if spec.length <= 0:
-        return
-    yield current
-    emitted = 1
-    while emitted < spec.length:
-        row = matrix[current]
-        dsts = list(row)
-        probs = np.array([row[d] for d in dsts], dtype=float)
-        probs = probs / probs.sum()
-        current = dsts[int(rng.choice(len(dsts), p=probs))]
-        yield current
-        emitted += 1
-
-
-def _iter_bursty(names: list[str], spec: TraceSpec) -> Iterator[str]:
-    rng = np.random.default_rng(spec.seed)
-    current = names[int(rng.integers(len(names)))]
-    for _ in range(spec.length):
-        if len(names) > 1 and rng.random() >= spec.dwell:
-            candidates = [n for n in names if n != current]
-            current = candidates[int(rng.integers(len(candidates)))]
-        yield current
+        yield from iter_bursty(names, spec.length, spec.seed, spec.dwell)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,29 @@
 """Trace specs, streaming generators and the workload suite.
 
-The load-bearing guarantee is rng-sequence equivalence: the lazy
-streams of :func:`repro.replay.iter_trace` must equal the eager lists
-built by the :mod:`repro.runtime.adaptive` environment classes element
-for element, per environment kind.
+The load-bearing guarantee is trace identity: the block-drawn
+generators of :mod:`repro.runtime.adaptive` -- streamed by
+:func:`repro.replay.iter_trace` and wrapped by the eager environment
+classes -- must yield, element for element, what one rng call per event
+yields.  The per-event loops below are that oracle; cached replay
+results are keyed by trace, so any drift would silently alias them.
+
+``REPRO_DIFF_DESIGNS`` scales the oracle gate's example count (at
+least 50; the CI differential gate runs 200).
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 from itertools import islice
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.eval.example_design import example_design
 from repro.replay import (
     ENVIRONMENTS,
     TraceSpec,
@@ -22,15 +34,206 @@ from repro.replay import (
     trace_key,
 )
 from repro.replay.trace import TraceSpecError, config_names, resolved_matrix
+from repro.runtime import adaptive
 from repro.runtime.adaptive import (
     BurstyEnvironment,
     MarkovEnvironment,
     UniformEnvironment,
 )
+from repro.synth.generator import generate_design
+from repro.synth.profiles import CircuitClass
+
+from ..conftest import make_design
+
+GATE_EXAMPLES = max(50, int(os.environ.get("REPRO_DIFF_DESIGNS", "12")))
+
+GATE_SETTINGS = settings(
+    max_examples=GATE_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# -- the per-event oracle: one rng call per event --------------------------
+
+
+def oracle_uniform(names, length, seed):
+    if len(names) == 1:
+        return names * min(length, 1)
+    rng = np.random.default_rng(seed)
+    out = []
+    current = None
+    for _ in range(length):
+        candidates = [n for n in names if n != current]
+        current = candidates[int(rng.integers(len(candidates)))]
+        out.append(current)
+    return out
+
+
+def oracle_markov(rows, start, length, seed):
+    matrix = {src: dict(row) for src, row in rows}
+    rng = np.random.default_rng(seed)
+    current = start
+    out = [current]
+    while len(out) < length:
+        row = matrix[current]
+        dsts = list(row)
+        probs = np.array([row[d] for d in dsts], dtype=float)
+        probs = probs / probs.sum()
+        current = dsts[int(rng.choice(len(dsts), p=probs))]
+        out.append(current)
+    return out[:length]
+
+
+def oracle_bursty(names, length, seed, dwell):
+    rng = np.random.default_rng(seed)
+    current = names[int(rng.integers(len(names)))]
+    out = []
+    for _ in range(length):
+        if len(names) > 1 and rng.random() >= dwell:
+            candidates = [n for n in names if n != current]
+            current = candidates[int(rng.integers(len(candidates)))]
+        out.append(current)
+    return out
+
+
+def random_matrix(rng, names):
+    """A row-stochastic matrix with self-loops and zero-probability cells."""
+    matrix = {}
+    for src in names:
+        weights = rng.random(len(names)) * (rng.random(len(names)) < 0.6)
+        if not weights.any():
+            weights[rng.integers(len(names))] = 1.0
+        probs = weights / weights.sum()
+        matrix[src] = {dst: float(p) for dst, p in zip(names, probs)}
+    return matrix
+
+
+@st.composite
+def gate_designs(draw):
+    kind = draw(st.sampled_from(["paper", "single", "synthetic"]))
+    if kind == "paper":
+        return example_design()
+    if kind == "single":
+        return make_design({"A": {"A1": (10, 0, 0)}}, [("A1",)], name="one")
+    seed = draw(st.integers(0, 2**32 - 1))
+    cls = draw(st.sampled_from(list(CircuitClass)))
+    return generate_design(
+        np.random.default_rng(seed), cls, name=f"gate-{seed}"
+    )
+
+
+@st.composite
+def gate_cases(draw):
+    """(design, spec): every environment, explicit and ring matrices."""
+    design = draw(gate_designs())
+    names = config_names(design)
+    environment = draw(st.sampled_from(ENVIRONMENTS))
+    length = draw(
+        st.one_of(
+            st.sampled_from([0, 1, 2]),
+            st.integers(3, 40),
+            st.integers(200, 700),
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    if environment != "markov":
+        dwell = draw(st.sampled_from([0.0, 0.5, 0.9]))
+        return design, TraceSpec(environment, length, seed=seed, dwell=dwell)
+    matrix = None
+    if len(names) < 2 or draw(st.booleans()):
+        matrix = random_matrix(np.random.default_rng(seed), names)
+    start = draw(st.one_of(st.none(), st.sampled_from(names)))
+    spec = TraceSpec(
+        "markov", length, seed=seed, matrix=matrix, start=start
+    )
+    return design, spec
+
+
+def eager_and_oracle(design, spec):
+    """The eager class's trace and the oracle's, reversed matrix order."""
+    names = list(config_names(design))
+    if spec.environment == "uniform":
+        return (
+            UniformEnvironment(design).trace(spec.length, spec.seed),
+            oracle_uniform(names, spec.length, spec.seed),
+        )
+    if spec.environment == "bursty":
+        return (
+            BurstyEnvironment(design, dwell=spec.dwell).trace(
+                spec.length, spec.seed
+            ),
+            oracle_bursty(names, spec.length, spec.seed, spec.dwell),
+        )
+    # Not the canonical (sorted) order: the eager class walks the
+    # caller's destination order, so the oracle must see the same.
+    rows = [
+        (src, list(reversed(row)))
+        for src, row in reversed(resolved_matrix(names, spec))
+    ]
+    env = MarkovEnvironment(design, {src: dict(row) for src, row in rows})
+    start = spec.start or names[0]
+    return (
+        env.trace(spec.length, spec.seed, start=spec.start),
+        oracle_markov(rows, start, spec.length, spec.seed),
+    )
+
+
+class TestOracleGate:
+    """Block-drawn generators equal the per-event oracle, draw for draw."""
+
+    @GATE_SETTINGS
+    @given(gate_cases(), st.sampled_from([1, 3, 7, adaptive._BLOCK]))
+    def test_generators_match_oracle(self, case, block):
+        design, spec = case
+        names = list(config_names(design))
+        if spec.environment == "uniform":
+            expected = oracle_uniform(names, spec.length, spec.seed)
+        elif spec.environment == "bursty":
+            expected = oracle_bursty(
+                names, spec.length, spec.seed, spec.dwell
+            )
+        else:
+            expected = oracle_markov(
+                resolved_matrix(names, spec),
+                spec.start or names[0],
+                spec.length,
+                spec.seed,
+            )
+        # A small block makes every long trace cross many boundaries.
+        with mock.patch.object(adaptive, "_BLOCK", block):
+            assert list(iter_trace(names, spec)) == expected
+            eager, oracle = eager_and_oracle(design, spec)
+        assert eager == oracle
+        assert len(expected) == (
+            min(spec.length, 1)
+            if len(names) == 1 and spec.environment == "uniform"
+            else spec.length
+        )
+
+    def test_suite_traces_and_keys_are_pinned(self):
+        # Digests of a small fleet's trace keys and events, taken from the
+        # per-event generators: cached replay results stay addressable.
+        suite = WorkloadSuite(designs=4, traces_per_design=6, length=300,
+                              seed=7)
+        keys = hashlib.sha256()
+        events = hashlib.sha256()
+        for design, spec in suite.iter_workloads():
+            names = config_names(design)
+            keys.update(trace_key(names, spec).encode())
+            events.update(
+                "\n".join(iter_trace(names, spec)).encode() + b"\0"
+            )
+        assert keys.hexdigest() == (
+            "fe39fa85d89d54061685061fb1b3385593b3f31d24fe2e5bba368d8a185888b1"
+        )
+        assert events.hexdigest() == (
+            "664d8065ec76218be6c1520a0778a33910abc6e8464bcc2227d2ef8be8fcf46f"
+        )
 
 
 class TestStreamEquivalence:
-    """iter_trace draws the exact rng sequence of the eager classes."""
+    """iter_trace streams exactly what the eager classes list."""
 
     def test_uniform_matches_environment(self, paper_example):
         names = config_names(paper_example)
@@ -76,6 +279,14 @@ class TestStreamEquivalence:
     def test_stream_is_lazy(self, paper_example):
         names = config_names(paper_example)
         spec = TraceSpec(environment="bursty", length=10**9, seed=1)
+        head = list(islice(iter_trace(names, spec), 8))
+        assert len(head) == 8
+        assert all(h in names for h in head)
+
+    @pytest.mark.parametrize("environment", ["uniform", "markov"])
+    def test_block_drawn_stream_is_lazy(self, paper_example, environment):
+        names = config_names(paper_example)
+        spec = TraceSpec(environment=environment, length=10**9, seed=1)
         head = list(islice(iter_trace(names, spec), 8))
         assert len(head) == 8
         assert all(h in names for h in head)
