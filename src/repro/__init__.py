@@ -25,65 +25,33 @@ Quick start::
     print(result.scheme.describe())
 """
 
-from .arch.resources import ResourceType, ResourceVector
-from .core.baselines import (
-    one_module_per_region_scheme,
-    single_region_scheme,
-    static_scheme,
-)
-from .core.cost import (
-    TransitionPolicy,
-    total_reconfiguration_frames,
-    transition_frames,
-    worst_case_frames,
-)
-from .core.model import Configuration, Mode, Module, PRDesign, design_from_tables
-from .core.partitioner import (
-    InfeasibleError,
-    PartitionerOptions,
-    partition,
-    partition_with_device_selection,
-    select_device,
-)
-from .core.result import PartitioningScheme, Region
-from .obs import (
-    NULL_TRACER,
-    RecordingTracer,
-    Trace,
-    Tracer,
-    render_trace_summary,
-    trace_from_json,
+from .util.lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "arch.resources": ("ResourceType", "ResourceVector"),
+        "core.baselines": (
+            "one_module_per_region_scheme", "single_region_scheme", "static_scheme",
+        ),
+        "core.cost": (
+            "TransitionPolicy", "total_reconfiguration_frames", "transition_frames",
+            "worst_case_frames",
+        ),
+        "core.model": (
+            "Configuration", "Mode", "Module", "PRDesign", "design_from_tables",
+        ),
+        "core.partitioner": (
+            "InfeasibleError", "PartitionerOptions", "partition",
+            "partition_with_device_selection", "select_device",
+        ),
+        "core.result": ("PartitioningScheme", "Region"),
+        "obs": (
+            "NULL_TRACER", "RecordingTracer", "Trace", "Tracer", "render_trace_summary",
+            "trace_from_json",
+        ),
+    },
+    defined=("__version__",),
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "Configuration",
-    "InfeasibleError",
-    "Mode",
-    "Module",
-    "NULL_TRACER",
-    "PRDesign",
-    "PartitionerOptions",
-    "PartitioningScheme",
-    "RecordingTracer",
-    "Region",
-    "ResourceType",
-    "ResourceVector",
-    "Trace",
-    "Tracer",
-    "TransitionPolicy",
-    "design_from_tables",
-    "one_module_per_region_scheme",
-    "partition",
-    "partition_with_device_selection",
-    "render_trace_summary",
-    "select_device",
-    "single_region_scheme",
-    "static_scheme",
-    "total_reconfiguration_frames",
-    "trace_from_json",
-    "transition_frames",
-    "worst_case_frames",
-    "__version__",
-]

@@ -5,67 +5,25 @@ capacities, frames per tile, Eqs. 1-6) and a reconstructed device library
 for the Fig. 7/8 device ladder.
 """
 
-from .device import Column, Device, iter_tiles, make_device, synthesise_columns
-from .frames import BitstreamSize, FrameAddress, frames_in_tile, full_bitstream
-from .library import (
-    VIRTEX5_LADDER,
-    DeviceLibrary,
-    get_device,
-    ladder_names,
-    virtex5_full,
-    virtex5_ladder,
-)
-from .resources import RESOURCE_TYPES, ResourceType, ResourceVector
-from .tiles import (
-    BITS_PER_FRAME,
-    BYTES_PER_FRAME,
-    FRAMES_PER_TILE,
-    PRIMITIVES_PER_TILE,
-    TILE_CAPACITY,
-    TILE_FRAMES,
-    WORDS_PER_FRAME,
-    TileCount,
-    describe_tile_constants,
-    frames_for,
-    frames_to_bytes,
-    frames_to_words,
-    quantised_footprint,
-    region_frames,
-    tiles_for,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "BITS_PER_FRAME",
-    "BYTES_PER_FRAME",
-    "BitstreamSize",
-    "Column",
-    "Device",
-    "DeviceLibrary",
-    "FRAMES_PER_TILE",
-    "FrameAddress",
-    "PRIMITIVES_PER_TILE",
-    "RESOURCE_TYPES",
-    "ResourceType",
-    "ResourceVector",
-    "TILE_CAPACITY",
-    "TILE_FRAMES",
-    "TileCount",
-    "VIRTEX5_LADDER",
-    "WORDS_PER_FRAME",
-    "describe_tile_constants",
-    "frames_for",
-    "frames_in_tile",
-    "frames_to_bytes",
-    "frames_to_words",
-    "full_bitstream",
-    "get_device",
-    "iter_tiles",
-    "ladder_names",
-    "make_device",
-    "quantised_footprint",
-    "region_frames",
-    "synthesise_columns",
-    "tiles_for",
-    "virtex5_full",
-    "virtex5_ladder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "device": (
+            "Column", "Device", "iter_tiles", "make_device", "synthesise_columns",
+        ),
+        "frames": ("BitstreamSize", "FrameAddress", "frames_in_tile", "full_bitstream"),
+        "library": (
+            "VIRTEX5_LADDER", "DeviceLibrary", "get_device", "ladder_names",
+            "virtex5_full", "virtex5_ladder",
+        ),
+        "resources": ("RESOURCE_TYPES", "ResourceType", "ResourceVector"),
+        "tiles": (
+            "BITS_PER_FRAME", "BYTES_PER_FRAME", "FRAMES_PER_TILE",
+            "PRIMITIVES_PER_TILE", "TILE_CAPACITY", "TILE_FRAMES", "WORDS_PER_FRAME",
+            "TileCount", "describe_tile_constants", "frames_for", "frames_to_bytes",
+            "frames_to_words", "quantised_footprint", "region_frames", "tiles_for",
+        ),
+    },
+)

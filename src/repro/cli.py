@@ -38,13 +38,13 @@ from .core.partitioner import (
     partition,
     partition_with_device_selection,
 )
-from .eval import experiments as E
 from .eval.report import render_table, render_trace_summary
 from .flow.bitstream import generate_bitstreams
 from .flow.constraints import emit_ucf
 from .flow.floorplan import FloorplanError, floorplan
 from .obs import NULL_TRACER, RecordingTracer, Tracer
 from .service.problem import resolve_problem
+from .synth.generator import DEFAULT_SWEEP_DESIGNS, DEFAULT_SWEEP_SEED
 
 
 def _make_tracer(args: argparse.Namespace) -> Tracer:
@@ -181,6 +181,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def _cmd_casestudy(_args: argparse.Namespace) -> int:
+    from .eval import experiments as E
+
     r3 = E.exp_table3()
     print(E.render_table3(r3))
     print()
@@ -191,6 +193,8 @@ def _cmd_casestudy(_args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
+    from .eval import experiments as E
+
     print("Connectivity matrix (Sec. IV-C):")
     print(E.exp_connectivity_matrix().render())
     print()
@@ -212,6 +216,8 @@ def _cmd_example(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .eval import experiments as E
+
     def progress(i: int, n: int) -> None:
         if args.progress and i % 25 == 0:
             print(f"... {i}/{n}", file=sys.stderr)
@@ -901,8 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("sweep", help="regenerate Figs. 7/8/9")
-    p.add_argument("--designs", type=int, default=E.DEFAULT_SWEEP_DESIGNS)
-    p.add_argument("--seed", type=int, default=E.DEFAULT_SWEEP_SEED)
+    p.add_argument("--designs", type=int, default=DEFAULT_SWEEP_DESIGNS)
+    p.add_argument("--seed", type=int, default=DEFAULT_SWEEP_SEED)
     p.add_argument("--progress", action="store_true")
     p.add_argument(
         "--analysis",
@@ -939,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--synthetic", type=int, metavar="N",
         help="also enqueue N Sec. V synthetic designs",
     )
-    p.add_argument("--seed", type=int, default=E.DEFAULT_SWEEP_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SWEEP_SEED)
     p.add_argument(
         "--max-candidate-sets", type=int,
         help="cap the covering loop per job (part of the cache key)",

@@ -5,122 +5,52 @@ Pipeline: design model -> connectivity matrix -> agglomerative clustering
 (region allocation) -> minimum-total-reconfiguration-time scheme.
 """
 
-from .allocation import AllocationOptions, groups_to_scheme, search_candidate_set
-from .annealing import AnnealingOptions, anneal_candidate_set, partition_annealing
-from .baselines import (
-    baseline_schemes,
-    one_module_per_region_scheme,
-    single_region_scheme,
-    static_scheme,
-)
-from .clustering import (
-    AgglomerationEvent,
-    BasePartition,
-    agglomerate,
-    enumerate_base_partitions,
-    partitions_by_label,
-)
-from .compatibility import CompatibilityIndex, are_compatible, compatibility_table
-from .cost import (
-    DEFAULT_POLICY,
-    SchemeCost,
-    TransitionPolicy,
-    evaluate,
-    percentage_change,
-    total_reconfiguration_frames,
-    transition_frames,
-    transition_matrix,
-    weighted_total_frames,
-    worst_case_frames,
-)
-from .covering import CandidatePartitionSet, CoveringError, candidate_partition_sets, cover
-from .exact import ExactOutcome, exact_candidate_set, partition_exact
-from .fingerprint import canonical_problem, problem_key
-from .matrix import ConnectivityMatrix, connectivity_matrix
-from .model import (
-    Configuration,
-    DesignError,
-    Mode,
-    Module,
-    PRDesign,
-    design_from_tables,
-)
-from .pareto import ParetoPoint, best_by_worst_case, pareto_front, render_front
-from .partitioner import (
-    DevicePartitionResult,
-    InfeasibleError,
-    PartitionResult,
-    PartitionerOptions,
-    minimum_footprint,
-    partition,
-    partition_with_device_selection,
-    select_device,
-    smallest_device_for_scheme,
-)
-from .result import PartitioningScheme, Region, SchemeError, merge_regions, regions_from_partitions
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "AgglomerationEvent",
-    "AllocationOptions",
-    "AnnealingOptions",
-    "BasePartition",
-    "CandidatePartitionSet",
-    "CompatibilityIndex",
-    "Configuration",
-    "ConnectivityMatrix",
-    "CoveringError",
-    "DEFAULT_POLICY",
-    "DesignError",
-    "DevicePartitionResult",
-    "ExactOutcome",
-    "InfeasibleError",
-    "Mode",
-    "Module",
-    "PRDesign",
-    "PartitionResult",
-    "PartitionerOptions",
-    "ParetoPoint",
-    "PartitioningScheme",
-    "Region",
-    "SchemeCost",
-    "SchemeError",
-    "TransitionPolicy",
-    "agglomerate",
-    "anneal_candidate_set",
-    "are_compatible",
-    "baseline_schemes",
-    "best_by_worst_case",
-    "candidate_partition_sets",
-    "canonical_problem",
-    "compatibility_table",
-    "connectivity_matrix",
-    "cover",
-    "design_from_tables",
-    "enumerate_base_partitions",
-    "evaluate",
-    "exact_candidate_set",
-    "groups_to_scheme",
-    "merge_regions",
-    "minimum_footprint",
-    "one_module_per_region_scheme",
-    "pareto_front",
-    "partition",
-    "partition_annealing",
-    "partition_exact",
-    "partition_with_device_selection",
-    "partitions_by_label",
-    "percentage_change",
-    "problem_key",
-    "regions_from_partitions",
-    "render_front",
-    "search_candidate_set",
-    "select_device",
-    "single_region_scheme",
-    "smallest_device_for_scheme",
-    "static_scheme",
-    "total_reconfiguration_frames",
-    "transition_frames",
-    "transition_matrix",
-    "weighted_total_frames",
-    "worst_case_frames",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "allocation": ("AllocationOptions", "groups_to_scheme", "search_candidate_set"),
+        "annealing": (
+            "AnnealingOptions", "anneal_candidate_set", "partition_annealing",
+        ),
+        "baselines": (
+            "baseline_schemes", "one_module_per_region_scheme", "single_region_scheme",
+            "static_scheme",
+        ),
+        "clustering": (
+            "AgglomerationEvent", "BasePartition", "agglomerate",
+            "enumerate_base_partitions", "partitions_by_label",
+        ),
+        "compatibility": (
+            "CompatibilityIndex", "are_compatible", "compatibility_table",
+        ),
+        "cost": (
+            "DEFAULT_POLICY", "SchemeCost", "TransitionPolicy", "evaluate",
+            "percentage_change", "total_reconfiguration_frames", "transition_frames",
+            "transition_matrix", "weighted_total_frames", "worst_case_frames",
+        ),
+        "covering": (
+            "CandidatePartitionSet", "CoveringError", "candidate_partition_sets",
+            "cover",
+        ),
+        "exact": ("ExactOutcome", "exact_candidate_set", "partition_exact"),
+        "fingerprint": ("canonical_problem", "problem_key"),
+        "matrix": ("ConnectivityMatrix", "connectivity_matrix"),
+        "model": (
+            "Configuration", "DesignError", "Mode", "Module", "PRDesign",
+            "design_from_tables",
+        ),
+        "pareto": ("ParetoPoint", "best_by_worst_case", "pareto_front", "render_front"),
+        "partitioner": (
+            "DevicePartitionResult", "InfeasibleError", "PartitionResult",
+            "PartitionerOptions", "minimum_footprint", "partition",
+            "partition_with_device_selection", "select_device",
+            "smallest_device_for_scheme",
+        ),
+        "result": (
+            "PartitioningScheme", "Region", "SchemeError", "merge_regions",
+            "regions_from_partitions",
+        ),
+    },
+)

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..arch.resources import ResourceVector
 from ..arch.tiles import frames_for
@@ -101,6 +99,35 @@ class AgglomerationEvent:
     new_cliques: tuple[frozenset[str], ...]
 
 
+def _cliques(
+    names: Sequence[str], neighbours: Mapping[str, Collection[str]]
+) -> Iterator[tuple[str, ...]]:
+    """Every clique among ``names``, singletons included, each once.
+
+    ``neighbours`` maps a name to its adjacent names (names outside
+    ``names`` are ignored).  A clique is built in ``names`` order: it
+    grows only by a common neighbour listed after all its members, so
+    bit ``j`` of ``later[i]`` marks an edge ``i -- j`` with ``j > i``.
+    The yield order is unspecified; every caller sorts.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    later = [0] * len(names)
+    for i, name in enumerate(names):
+        for other in neighbours[name]:
+            j = index.get(other, -1)
+            if j > i:
+                later[i] |= 1 << j
+    stack = [((i,), later[i]) for i in range(len(names))]
+    while stack:
+        members, candidates = stack.pop()
+        yield tuple(names[i] for i in members)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            stack.append(((*members, j), candidates & later[j]))
+
+
 def _partition_for(
     clique: Iterable[str],
     design: PRDesign,
@@ -147,20 +174,18 @@ def agglomerate(
     ordered = sorted(
         edge_weights.items(), key=lambda kv: (-kv[1], tuple(sorted(kv[0])))
     )
-    graph: nx.Graph = nx.Graph()
-    graph.add_nodes_from(cmatrix.mode_names)
+    neighbours: dict[str, set[str]] = {name: set() for name in cmatrix.mode_names}
 
     for step, (edge, weight) in enumerate(ordered, start=1):
         a, b = sorted(edge)
-        graph.add_edge(a, b)
+        neighbours[a].add(b)
+        neighbours[b].add(a)
         # New cliques are exactly those containing the new edge: each is
         # {a, b} + a clique of the common neighbourhood of a and b.
-        common = sorted(set(graph[a]) & set(graph[b]))
+        common = sorted(neighbours[a] & neighbours[b])
         new: list[frozenset[str]] = [frozenset((a, b))]
-        if common:
-            sub = graph.subgraph(common)
-            for clique in nx.enumerate_all_cliques(sub):
-                new.append(frozenset((a, b, *clique)))
+        for clique in _cliques(common, neighbours):
+            new.append(frozenset((a, b, *clique)))
         yield AgglomerationEvent(
             step=step,
             edge=frozenset(edge),
@@ -193,13 +218,14 @@ def enumerate_base_partitions(
     node_weights = cmatrix.node_weights()
     edge_weights = cmatrix.edges()
 
-    graph: nx.Graph = nx.Graph()
-    graph.add_nodes_from(cmatrix.mode_names)
-    graph.add_edges_from(tuple(edge) for edge in edge_weights)
+    neighbours: dict[str, set[str]] = {name: set() for name in cmatrix.mode_names}
+    for a, b in edge_weights:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
 
     partitions = []
     enumerated = filtered = 0
-    for clique in nx.enumerate_all_cliques(graph):
+    for clique in _cliques(cmatrix.mode_names, neighbours):
         enumerated += 1
         if (
             not include_non_joint_cliques

@@ -1,132 +1,41 @@
 """Experiment harness: paper designs plus drivers for every table/figure."""
 
-from .casestudy import (
-    CASESTUDY_BUDGET,
-    CASESTUDY_BUDGET_PAPER,
-    CASESTUDY_CONFIGURATIONS,
-    CASESTUDY_CONFIGURATIONS_MODIFIED,
-    TABLE2_RESOURCES,
-    TABLE3_PAPER,
-    TABLE4_PAPER,
-    TABLE5_PAPER,
-    casestudy_design,
-    casestudy_design_modified,
-)
-from .example_design import (
-    EXAMPLE_CONFIGURATIONS,
-    EXPECTED_MATRIX,
-    EXPECTED_MODE_ORDER,
-    TABLE1_EXPECTED,
-    example_design,
-    hybrid_example_design,
-    single_mode_mix_design,
-)
-from .analysis import (
-    ClassBreakdown,
-    by_circuit_class,
-    correlation_with_structure,
-    render_analysis,
-    render_class_breakdown,
-    worst_case_trade,
-)
-from .experiments import (
-    DEFAULT_SWEEP_DESIGNS,
-    DEFAULT_SWEEP_SEED,
-    CaseStudyResult,
-    SweepRecord,
-    SweepResult,
-    exp_connectivity_matrix,
-    exp_table1,
-    exp_table3,
-    exp_table5,
-    render_fig7,
-    render_fig8,
-    render_fig9,
-    render_headlines,
-    render_table1,
-    render_table3,
-    render_table4,
-    render_table5,
-    run_sweep,
-)
-from .report import render_batch_report, render_trace_summary
-from .persistence import (
-    PersistenceError,
-    export_histograms_csv,
-    export_series_csv,
-    load_sweep,
-    result_from_dict,
-    result_to_dict,
-    save_sweep,
-    scheme_from_dict,
-    scheme_to_dict,
-    sweep_from_json,
-    sweep_to_json,
-)
-from .stats import (
-    FIG9_BIN_EDGES,
-    ImprovementProfile,
-    improvement_profile,
-    summarise_profiles,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "CASESTUDY_BUDGET",
-    "CASESTUDY_BUDGET_PAPER",
-    "CASESTUDY_CONFIGURATIONS",
-    "CASESTUDY_CONFIGURATIONS_MODIFIED",
-    "CaseStudyResult",
-    "ClassBreakdown",
-    "DEFAULT_SWEEP_DESIGNS",
-    "DEFAULT_SWEEP_SEED",
-    "EXAMPLE_CONFIGURATIONS",
-    "EXPECTED_MATRIX",
-    "EXPECTED_MODE_ORDER",
-    "FIG9_BIN_EDGES",
-    "ImprovementProfile",
-    "PersistenceError",
-    "SweepRecord",
-    "SweepResult",
-    "TABLE1_EXPECTED",
-    "TABLE2_RESOURCES",
-    "TABLE3_PAPER",
-    "TABLE4_PAPER",
-    "TABLE5_PAPER",
-    "by_circuit_class",
-    "casestudy_design",
-    "casestudy_design_modified",
-    "correlation_with_structure",
-    "example_design",
-    "exp_connectivity_matrix",
-    "exp_table1",
-    "exp_table3",
-    "exp_table5",
-    "export_histograms_csv",
-    "export_series_csv",
-    "hybrid_example_design",
-    "improvement_profile",
-    "load_sweep",
-    "render_analysis",
-    "render_class_breakdown",
-    "render_fig7",
-    "render_fig8",
-    "render_fig9",
-    "render_headlines",
-    "render_table1",
-    "render_table3",
-    "render_table4",
-    "render_batch_report",
-    "render_table5",
-    "render_trace_summary",
-    "result_from_dict",
-    "result_to_dict",
-    "run_sweep",
-    "save_sweep",
-    "scheme_from_dict",
-    "scheme_to_dict",
-    "single_mode_mix_design",
-    "summarise_profiles",
-    "sweep_from_json",
-    "sweep_to_json",
-    "worst_case_trade",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "casestudy": (
+            "CASESTUDY_BUDGET", "CASESTUDY_BUDGET_PAPER", "CASESTUDY_CONFIGURATIONS",
+            "CASESTUDY_CONFIGURATIONS_MODIFIED", "TABLE2_RESOURCES", "TABLE3_PAPER",
+            "TABLE4_PAPER", "TABLE5_PAPER", "casestudy_design",
+            "casestudy_design_modified",
+        ),
+        "example_design": (
+            "EXAMPLE_CONFIGURATIONS", "EXPECTED_MATRIX", "EXPECTED_MODE_ORDER",
+            "TABLE1_EXPECTED", "example_design", "hybrid_example_design",
+            "single_mode_mix_design",
+        ),
+        "analysis": (
+            "ClassBreakdown", "by_circuit_class", "correlation_with_structure",
+            "render_analysis", "render_class_breakdown", "worst_case_trade",
+        ),
+        "experiments": (
+            "DEFAULT_SWEEP_DESIGNS", "DEFAULT_SWEEP_SEED", "CaseStudyResult",
+            "SweepRecord", "SweepResult", "exp_connectivity_matrix", "exp_table1",
+            "exp_table3", "exp_table5", "render_fig7", "render_fig8", "render_fig9",
+            "render_headlines", "render_table1", "render_table3", "render_table4",
+            "render_table5", "run_sweep",
+        ),
+        "report": ("render_batch_report", "render_trace_summary"),
+        "persistence": (
+            "PersistenceError", "export_histograms_csv", "export_series_csv",
+            "load_sweep", "result_from_dict", "result_to_dict", "save_sweep",
+            "scheme_from_dict", "scheme_to_dict", "sweep_from_json", "sweep_to_json",
+        ),
+        "stats": (
+            "FIG9_BIN_EDGES", "ImprovementProfile", "improvement_profile",
+            "summarise_profiles",
+        ),
+    },
+)

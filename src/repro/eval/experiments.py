@@ -12,7 +12,6 @@ for the full-population run.  EXPERIMENTS.md records both.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +38,11 @@ from ..core.partitioner import (
 )
 from ..core.result import PartitioningScheme
 from ..obs import Tracer
-from ..synth.generator import generate_population
+from ..synth.generator import (
+    DEFAULT_SWEEP_DESIGNS,
+    DEFAULT_SWEEP_SEED,
+    generate_population,
+)
 from . import report
 from .casestudy import (
     CASESTUDY_BUDGET,
@@ -49,12 +52,6 @@ from .casestudy import (
 )
 from .example_design import example_design
 from .stats import FIG9_BIN_EDGES, ImprovementProfile, improvement_profile
-
-#: Default synthetic population size for benches (paper: 1000).
-DEFAULT_SWEEP_DESIGNS = int(os.environ.get("REPRO_SWEEP_DESIGNS", "200"))
-
-#: Seed fixed so every bench run regenerates identical populations.
-DEFAULT_SWEEP_SEED = 2013
 
 
 # ----------------------------------------------------------------------

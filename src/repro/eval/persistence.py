@@ -20,13 +20,15 @@ import csv
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..arch.resources import ResourceVector
 from ..core.clustering import BasePartition
 from ..core.partitioner import PartitionResult
 from ..core.result import PartitioningScheme, Region, SchemeError
-from .experiments import SweepRecord, SweepResult
+
+if TYPE_CHECKING:
+    from .experiments import SweepResult
 
 #: Schema version embedded in saved files; bumped on field changes.
 FORMAT_VERSION = 1
@@ -80,6 +82,10 @@ def sweep_from_json(text: str) -> SweepResult:
     :class:`PersistenceError`, never a bare ``KeyError`` or
     ``json.JSONDecodeError``.
     """
+    # The result cache imports this module for the scheme round-trip;
+    # only sweep documents need the experiment drivers.
+    from .experiments import SweepRecord, SweepResult
+
     doc = _loads(text, "sweep document")
     if doc.get("format") != "repro-sweep":
         raise PersistenceError("not a repro sweep document")

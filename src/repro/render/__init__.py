@@ -41,16 +41,22 @@ from __future__ import annotations
 
 import hashlib
 
-from .ascii import occupancy, render_floorplan
-from .bench import render_bench_trend_html
-from .dashboard import render_report_html
-from .floorplan import (
-    fragmentation_stats,
-    largest_free_rectangle,
-    render_floorplan_svg,
+from ..util.lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ascii": ("occupancy", "render_floorplan"),
+        "bench": ("render_bench_trend_html",),
+        "dashboard": ("render_report_html",),
+        "floorplan": (
+            "fragmentation_stats", "largest_free_rectangle", "render_floorplan_svg",
+        ),
+        "replay": ("render_replay_html",),
+        "scheme": ("render_scheme_svg",),
+    },
+    defined=("RENDERERS", "RENDERER_VERSION", "artifact_key", "renderer_meta"),
 )
-from .replay import render_replay_html
-from .scheme import render_scheme_svg
 
 #: Bumped whenever any renderer's output bytes can change; part of every
 #: artifact cache key, so stale cached artifacts miss instead of alias.
@@ -77,20 +83,3 @@ def artifact_key(problem_key: str, renderer: str) -> str:
         raise ValueError(f"unknown renderer {renderer!r}")
     payload = f"{renderer_meta(renderer)}:{problem_key}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-__all__ = [
-    "RENDERERS",
-    "RENDERER_VERSION",
-    "artifact_key",
-    "fragmentation_stats",
-    "largest_free_rectangle",
-    "occupancy",
-    "render_bench_trend_html",
-    "render_floorplan",
-    "render_floorplan_svg",
-    "render_replay_html",
-    "render_report_html",
-    "render_scheme_svg",
-    "renderer_meta",
-]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from ..obs.report import DEFAULT_BENCH_THRESHOLD, bench_timings
+from . import renderer_meta
 from ._markup import Raw, fnum, html_page, html_table, sparkline
 
 _NO_DATA = '<p class="nodata">no BENCH documents given</p>'
@@ -36,8 +37,6 @@ def render_bench_trend_html(
     past it is a regression, a shrink past it an improvement.  An empty
     history renders a valid page with an explicit no-data notice.
     """
-    from . import renderer_meta
-
     sections: list[str] = []
 
     if not history:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from . import renderer_meta
 from ._markup import (
     Raw,
     fnum,
@@ -40,8 +41,6 @@ def _fmt_seconds(value: float | None) -> str:
 
 def render_report_html(report: "RunReport") -> str:
     """Render an aggregated telemetry report as a standalone HTML page."""
-    from . import renderer_meta
-
     sections: list[str] = []
     empty = (
         report.runs == 0

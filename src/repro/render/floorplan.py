@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from . import renderer_meta
 from ._markup import (
     FREE_TILE_FILL,
     color_for,
@@ -109,8 +110,6 @@ def render_floorplan_svg(plan: "Floorplan") -> str:
     anchored outside the rectangle is skipped -- labels are drawn only
     when the rectangle is at least two tiles wide.
     """
-    from . import renderer_meta
-
     device = plan.device
     n_rows, n_cols = device.rows, device.column_count
     grid_x = _MARGIN + _AXIS_W

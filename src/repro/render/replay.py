@@ -10,6 +10,7 @@ address (:func:`repro.replay.comparison_key`) as the problem key.
 
 from __future__ import annotations
 
+from . import renderer_meta
 from ._markup import Raw, esc, fnum, html_page, html_table, sparkline, stat_tiles
 
 
@@ -26,8 +27,6 @@ def _seconds(value: float | None) -> str:
 
 def render_replay_html(comparison) -> str:
     """Render a :class:`repro.replay.PolicyComparison` dashboard page."""
-    from . import renderer_meta  # local import: avoid a cycle at module load
-
     meta = renderer_meta("replay")
     sections: list[str] = []
     policies = comparison.policies

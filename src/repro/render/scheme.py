@@ -29,6 +29,7 @@ from ..core.cost import (
     transition_matrix,
     worst_case_frames,
 )
+from . import renderer_meta
 from ._markup import (
     color_for,
     fnum,
@@ -70,8 +71,6 @@ def render_scheme_svg(
     schemes (zero regions, a single configuration) render a valid
     document with explicit placeholders instead of raising.
     """
-    from . import renderer_meta  # local import: avoid a cycle at module load
-
     scheme = _scheme_of(result)
     design = scheme.design
     configs = [c.name for c in design.configurations]

@@ -34,80 +34,32 @@ measured quantity, wired through every existing layer:
 Full guide: docs/REPLAY.md.  CLI: ``repro-pr replay run|sweep|compare``.
 """
 
-from .compare import (
-    PolicyComparison,
-    PolicyLatency,
-    collect_policy_comparison,
-    comparison_key,
-    render_policy_comparison,
-)
-from .engine import (
-    REPLAY_ENGINES,
-    REPLAY_LATENCY_BOUNDS,
-    REPLAY_VERSION,
-    ReplayError,
-    ReplayResult,
-    replay_batch_key,
-    replay_record,
-    replay_result_key,
-    replay_trace,
-)
-from .policies import (
-    EVICTION_POLICIES,
-    POLICY_PRESETS,
-    BitstreamStore,
-    PolicySpec,
-    resolve_policy,
-)
-from .service import (
-    replay_probe_keys,
-    replay_store_for,
-    replay_summary,
-    run_replay_batch_payload,
-    submit_replay_suite,
-)
-from .store import ReplayResultStore
-from .trace import (
-    ENVIRONMENTS,
-    TraceSpec,
-    WorkloadSuite,
-    generator_matrix,
-    iter_trace,
-    ring_matrix,
-    trace_key,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "ENVIRONMENTS",
-    "EVICTION_POLICIES",
-    "POLICY_PRESETS",
-    "REPLAY_ENGINES",
-    "REPLAY_LATENCY_BOUNDS",
-    "REPLAY_VERSION",
-    "BitstreamStore",
-    "PolicyComparison",
-    "PolicyLatency",
-    "PolicySpec",
-    "ReplayError",
-    "ReplayResult",
-    "ReplayResultStore",
-    "TraceSpec",
-    "WorkloadSuite",
-    "collect_policy_comparison",
-    "comparison_key",
-    "generator_matrix",
-    "iter_trace",
-    "render_policy_comparison",
-    "replay_batch_key",
-    "replay_probe_keys",
-    "replay_record",
-    "replay_result_key",
-    "replay_store_for",
-    "replay_summary",
-    "replay_trace",
-    "resolve_policy",
-    "ring_matrix",
-    "run_replay_batch_payload",
-    "submit_replay_suite",
-    "trace_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "compare": (
+            "PolicyComparison", "PolicyLatency", "collect_policy_comparison",
+            "comparison_key", "render_policy_comparison",
+        ),
+        "engine": (
+            "REPLAY_ENGINES", "REPLAY_LATENCY_BOUNDS", "REPLAY_VERSION", "ReplayError",
+            "ReplayResult", "replay_batch_key", "replay_record", "replay_result_key",
+            "replay_trace",
+        ),
+        "policies": (
+            "EVICTION_POLICIES", "POLICY_PRESETS", "BitstreamStore", "PolicySpec",
+            "resolve_policy",
+        ),
+        "service": (
+            "replay_probe_keys", "replay_store_for", "replay_summary",
+            "run_replay_batch_payload", "submit_replay_suite",
+        ),
+        "store": ("ReplayResultStore",),
+        "trace": (
+            "ENVIRONMENTS", "TraceSpec", "WorkloadSuite", "generator_matrix",
+            "iter_trace", "ring_matrix", "trace_key",
+        ),
+    },
+)

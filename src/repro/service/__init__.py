@@ -25,52 +25,21 @@ design-space sweeps, per-device what-if queries and CI re-runs:
 Full guide: docs/SERVICE.md.  CLI: ``repro-pr batch submit|run|status``.
 """
 
-from .cache import ArtifactStore, CachedResult, ResultCache
-from .faults import (
-    FAULT_KINDS,
-    FaultError,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    parse_fault,
-)
-from .jobs import (
-    DEFAULT_MAX_ATTEMPTS,
-    JOB_KINDS,
-    JOB_STATES,
-    Job,
-    JobStore,
-    JobStoreError,
-)
-from .pool import (
-    BatchReport,
-    ServiceError,
-    partition_problem_key,
-    run_batch,
-)
-from .problem import ResolvedProblem, resolve_problem, resolve_problem_text
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "ArtifactStore",
-    "BatchReport",
-    "CachedResult",
-    "DEFAULT_MAX_ATTEMPTS",
-    "FAULT_KINDS",
-    "FaultError",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "JOB_KINDS",
-    "JOB_STATES",
-    "Job",
-    "JobStore",
-    "JobStoreError",
-    "ResolvedProblem",
-    "ResultCache",
-    "ServiceError",
-    "parse_fault",
-    "partition_problem_key",
-    "resolve_problem",
-    "resolve_problem_text",
-    "run_batch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("ArtifactStore", "CachedResult", "ResultCache"),
+        "faults": (
+            "FAULT_KINDS", "FaultError", "FaultPlan", "FaultSpec", "InjectedFault",
+            "parse_fault",
+        ),
+        "jobs": (
+            "DEFAULT_MAX_ATTEMPTS", "JOB_KINDS", "JOB_STATES", "Job", "JobStore",
+            "JobStoreError",
+        ),
+        "pool": ("BatchReport", "ServiceError", "partition_problem_key", "run_batch"),
+        "problem": ("ResolvedProblem", "resolve_problem", "resolve_problem_text"),
+    },
+)

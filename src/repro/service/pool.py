@@ -49,6 +49,7 @@ method, ``_Batch.emit``, publishes each job outcome's event and sink
 from __future__ import annotations
 
 import atexit
+import gc
 import heapq
 import itertools
 import json
@@ -663,6 +664,18 @@ _WARM_EXECUTORS: dict[int, _Pool] = {}
 def _warm_executor(workers: int) -> _Pool:
     executor = _WARM_EXECUTORS.get(workers)
     if executor is None:
+        # Load everything a worker runs before forking it: the replay
+        # job kind is the one part this module does not import itself
+        # (a partition-only process never loads it).  Workers then share
+        # it copy-on-write instead of importing it on their first job.
+        from ..replay import service  # noqa: F401
+
+        # Then take every object alive now out of the collector's
+        # generations, as CPython advises before a fork without exec:
+        # worker collections no longer write to (and so copy) the pages
+        # they share with this process, and this process's own full
+        # collections walk only what it allocates from here on.
+        gc.freeze()
         executor = _WARM_EXECUTORS[workers] = _Pool(workers)
     return executor
 

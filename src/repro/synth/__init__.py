@@ -1,33 +1,17 @@
 """Synthetic design generation for the Sec. V evaluation."""
 
-from .generator import (
-    STATIC_REGION,
-    GeneratorConfig,
-    generate_design,
-    generate_population,
-    population_summary,
-)
-from .profiles import (
-    CIRCUIT_CLASSES,
-    MAX_MODE_CLB,
-    MIN_MODE_CLB,
-    PROFILES,
-    CircuitClass,
-    ResourceProfile,
-    profile_for,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "CIRCUIT_CLASSES",
-    "CircuitClass",
-    "GeneratorConfig",
-    "MAX_MODE_CLB",
-    "MIN_MODE_CLB",
-    "PROFILES",
-    "ResourceProfile",
-    "STATIC_REGION",
-    "generate_design",
-    "generate_population",
-    "population_summary",
-    "profile_for",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "generator": (
+            "STATIC_REGION", "GeneratorConfig", "generate_design",
+            "generate_population", "population_summary",
+        ),
+        "profiles": (
+            "CIRCUIT_CLASSES", "MAX_MODE_CLB", "MIN_MODE_CLB", "PROFILES",
+            "CircuitClass", "ResourceProfile", "profile_for",
+        ),
+    },
+)

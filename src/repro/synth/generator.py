@@ -17,6 +17,7 @@ The population round-robins over the four circuit classes so a batch of
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -31,6 +32,12 @@ from .profiles import (
     CircuitClass,
     profile_for,
 )
+
+#: Default Sec. V population size for sweeps and benches (paper: 1000).
+DEFAULT_SWEEP_DESIGNS = int(os.environ.get("REPRO_SWEEP_DESIGNS", "200"))
+
+#: Seed fixed so every sweep regenerates identical populations.
+DEFAULT_SWEEP_SEED = 2013
 
 #: Static region of every synthetic design (custom ICAP controller [15]).
 STATIC_REGION = ResourceVector(clb=90, bram=8, dsp=0)
@@ -138,7 +145,7 @@ def generate_design(
 
 def generate_population(
     count: int,
-    seed: int = 2013,
+    seed: int = DEFAULT_SWEEP_SEED,
     config: GeneratorConfig | None = None,
 ) -> Iterator[tuple[CircuitClass, PRDesign]]:
     """Generate ``count`` designs, round-robin over circuit classes.

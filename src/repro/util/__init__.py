@@ -1,16 +1,13 @@
 """Small shared utilities."""
 
-from .atomic import write_text_atomic
-from .jsonl import JsonlError, replay_jsonl
-from .ordering import argsort_by, stable_unique
-from .validation import require, require_positive
+from .lazy import lazy_exports
 
-__all__ = [
-    "JsonlError",
-    "argsort_by",
-    "replay_jsonl",
-    "require",
-    "require_positive",
-    "stable_unique",
-    "write_text_atomic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "atomic": ("write_text_atomic",),
+        "jsonl": ("JsonlError", "replay_jsonl"),
+        "ordering": ("argsort_by", "stable_unique"),
+        "validation": ("require", "require_positive"),
+    },
+)

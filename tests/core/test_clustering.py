@@ -1,12 +1,22 @@
-"""Clustering tests: Table I reproduction plus structural properties."""
+"""Clustering tests: Table I reproduction plus structural properties.
+
+The clique differential gate (``TestCliqueOracleGate``) checks the
+clique enumerator against a brute-force walk over every vertex subset.
+``REPRO_DIFF_DESIGNS`` scales its example count (at least 50; the CI
+differential gate runs 200).
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import os
 import pickle
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.resources import ResourceVector
@@ -18,7 +28,20 @@ from repro.core.clustering import (
     verify_agglomeration_matches,
 )
 from repro.core.matrix import ConnectivityMatrix
-from repro.eval.example_design import TABLE1_EXPECTED
+from repro.eval.example_design import (
+    TABLE1_EXPECTED,
+    example_design,
+    single_mode_mix_design,
+)
+from repro.obs import RecordingTracer
+from repro.synth.generator import (
+    MAX_MODES,
+    MAX_MODULES,
+    MIN_MODULES,
+    GeneratorConfig,
+    generate_design,
+)
+from repro.synth.profiles import CircuitClass
 
 from ..conftest import make_design
 
@@ -268,3 +291,128 @@ class TestClusteringProperties:
             if bp.size == 1:
                 (mode,) = bp.modes
                 assert bp.frequency_weight == cm.node_weight(mode)
+
+
+# -- differential gate: brute-force clique oracle ---------------------------
+
+GATE_EXAMPLES = max(50, int(os.environ.get("REPRO_DIFF_DESIGNS", "12")))
+
+
+def shuffled(design, rng):
+    """The same design with modules, modes and configurations reordered."""
+    modules = [
+        dataclasses.replace(m, modes=tuple(rng.sample(m.modes, len(m.modes))))
+        for m in rng.sample(design.modules, len(design.modules))
+    ]
+    configurations = rng.sample(design.configurations, len(design.configurations))
+    return dataclasses.replace(
+        design, modules=tuple(modules), configurations=tuple(configurations)
+    )
+
+
+@st.composite
+def gate_designs(draw):
+    """Designs of at most 12 modes, in a drawn declaration order."""
+    kind = draw(st.sampled_from(["paper", "single", "synthetic"]))
+    if kind == "paper":
+        design = example_design()
+    elif kind == "single":
+        design = single_mode_mix_design()
+    else:
+        n_modules = draw(st.integers(MIN_MODULES, MAX_MODULES))
+        max_modes = min(MAX_MODES, 12 // n_modules)
+        config = GeneratorConfig(
+            min_modules=n_modules, max_modules=n_modules,
+            min_modes=draw(st.integers(1, max_modes)), max_modes=max_modes,
+        )
+        seed = draw(st.integers(0, 2**32 - 1))
+        design = generate_design(
+            np.random.default_rng(seed), draw(st.sampled_from(list(CircuitClass))),
+            name=f"gate-{seed}", config=config,
+        )
+    return shuffled(design, random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+def oracle_cliques(modes, edges):
+    """Every vertex subset of ``modes`` whose pairs are all in ``edges``."""
+    return [
+        frozenset(subset)
+        for size in range(1, len(modes) + 1)
+        for subset in itertools.combinations(modes, size)
+        if all(frozenset(pair) in edges for pair in itertools.combinations(subset, 2))
+    ]
+
+
+def oracle_partitions(design, include_non_joint_cliques):
+    """(partitions in covering order, cliques enumerated, cliques filtered)."""
+    cm = ConnectivityMatrix.from_design(design)
+    edges = cm.edges()
+    cliques = oracle_cliques(cm.mode_names, edges)
+    out, filtered = [], 0
+    for clique in cliques:
+        joint = any(clique <= frozenset(c.modes) for c in design.configurations)
+        if len(clique) >= 3 and not joint and not include_non_joint_cliques:
+            filtered += 1
+            continue
+        if len(clique) == 1:
+            weight = cm.node_weight(next(iter(clique)))
+        else:
+            weight = min(edges[frozenset(p)] for p in itertools.combinations(clique, 2))
+        out.append(BasePartition(
+            modes=clique,
+            frequency_weight=weight,
+            resources=ResourceVector.sum(design.mode(m).resources for m in clique),
+            modules=frozenset(design.module_of(m).name for m in clique),
+        ))
+    return sorted(out, key=BasePartition.sort_key), len(cliques), filtered
+
+
+def oracle_events(design):
+    """(step, edge, weight, new cliques) of the incremental clustering."""
+    cm = ConnectivityMatrix.from_design(design)
+    ordered = sorted(
+        cm.edges().items(), key=lambda kv: (-kv[1], tuple(sorted(kv[0])))
+    )
+    events, present = [], set()
+    for step, (edge, weight) in enumerate(ordered, start=1):
+        present.add(edge)
+        new = [c for c in oracle_cliques(cm.mode_names, present) if edge <= c]
+        events.append((
+            step, edge, weight,
+            tuple(sorted(new, key=lambda c: (len(c), tuple(sorted(c))))),
+        ))
+    return events
+
+
+class TestCliqueOracleGate:
+    """The clique enumerator against every vertex subset, on <= 12 modes."""
+
+    @settings(
+        max_examples=GATE_EXAMPLES, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(gate_designs(), st.booleans())
+    def test_partitions_and_counters_match_oracle(self, design, include):
+        assert len(design.all_modes) <= 12
+        tracer = RecordingTracer()
+        got = enumerate_base_partitions(
+            design, include_non_joint_cliques=include, tracer=tracer
+        )
+        want, enumerated, filtered = oracle_partitions(design, include)
+        assert got == want
+        assert [bp.label for bp in got] == [bp.label for bp in want]
+        counters = tracer.trace().counters
+        assert counters["clustering.cliques_enumerated"] == enumerated
+        assert counters["clustering.cliques_filtered"] == filtered
+
+    @settings(
+        max_examples=GATE_EXAMPLES, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(gate_designs())
+    def test_agglomerate_events_match_oracle(self, design):
+        got = [
+            (e.step, e.edge, e.edge_weight, e.new_cliques)
+            for e in agglomerate(design)
+        ]
+        assert got == oracle_events(design)

@@ -21,6 +21,7 @@ PACKAGES = [
     "repro.eval",
     "repro.obs",
     "repro.render",
+    "repro.replay",
     "repro.service",
     "repro.util",
 ]
@@ -40,6 +41,7 @@ def test_all_is_sorted_and_unique(package):
     mod = importlib.import_module(package)
     exported = list(getattr(mod, "__all__", []))
     assert len(exported) == len(set(exported)), f"{package} has duplicate exports"
+    assert exported == sorted(exported), f"{package} exports are not sorted"
 
 
 def test_version():
