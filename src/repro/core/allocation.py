@@ -24,20 +24,23 @@ Two engines produce bit-identical results (see docs/PERFORMANCE.md):
   streams of merge candidates.  The compatible base-group pairs are
   keyed once per candidate set (and per mode) from the non-materialising
   pair-stat peek into one sorted list that every restart reads with its
-  own cursor; a per-restart heap holds only the pairs involving merged
-  groups, and each step only evaluates the pairs of the newly merged
-  group.  Entries naming dead groups are dropped when reached.  Keys
-  carry monotone *slot* numbers so ties come out in the reference
-  engine's positional scan order, and per-pair merge stats are memoised
-  so repeated restarts never recompute them.  A pending list of base
-  pairs keeps the merge cache's contents equal to the reference's.
-  Running footprint totals replace the per-state ``_fits`` rescan.
+  own cursor, skipping the entries that name a merged-away base group
+  by one AND against a mask of dead slots; a per-restart heap holds
+  only the pairs involving merged groups, and each step only evaluates
+  the pairs of the newly merged group, reading a pair's merged group
+  straight from the merge cache.  Keys carry monotone *slot* numbers
+  so ties come out in the reference engine's positional scan order.  A
+  pending list of base pairs keeps the merge cache's contents equal to
+  the reference's.  Running footprint totals replace the per-state
+  ``_fits`` rescan, and only the states that fit are scored.
 
 Implementation note: this is the hot loop of the whole library (the
 Fig. 7-9 sweep runs it hundreds of thousands of times), so the internal
 :class:`_Group` works on plain int tuples -- (clb, bram, dsp) -- instead
-of :class:`ResourceVector`, quantisation is inlined, and merged groups
-are memoised by member signature.  The public surface still speaks
+of :class:`ResourceVector`, quantisation is inlined, each group carries
+its Eq. 10 cost under both policies, and a group is identified by one
+int member mask: merged groups are memoised under it, and a search
+state is the set of its groups' masks.  The public surface still speaks
 ``ResourceVector``/:class:`PartitioningScheme`.
 """
 
@@ -96,9 +99,16 @@ class _Group:
     partition serving that configuration, or ``None``.  ``usage`` is the
     bitmask of configuration indices touching any member's modes -- two
     groups may merge iff their usage masks are disjoint (the paper's
-    compatibility relation lifted to groups).  ``ids`` is the
-    numpy-encoded activity vector (shared label codec, -1 for ``None``)
-    when the group was built inside a search; ``None`` otherwise.
+    compatibility relation lifted to groups).  ``cost_strict`` and
+    ``cost_lenient`` are the group's contribution to Eq. 10 under each
+    policy, ``frames`` times its switch pairs (weighted when the search
+    carries pair weights; then a float, otherwise an integral count
+    times the frame footprint).  ``key`` is the member mask: the OR of
+    the members' label bits, which the owning :class:`_MergeCache`
+    assigns, so within one cache it names the member set.  ``ids`` is
+    the numpy-encoded activity vector (shared label codec, -1 for
+    ``None``) when the group was built inside a search; ``None``
+    otherwise.
     """
 
     members: tuple[BasePartition, ...]
@@ -107,21 +117,16 @@ class _Group:
     requirement: Vec
     frames: int
     footprint: Vec
-    switch_pairs_strict: float
-    switch_pairs_lenient: float
-    signature: frozenset[str]
+    cost_strict: float
+    cost_lenient: float
+    key: int  # bitmask over member labels (bits from the merge cache)
     ids: "np.ndarray | None" = field(default=None, repr=False, compare=False)
 
-    def switch_pairs(self, policy: TransitionPolicy) -> float:
-        if policy is TransitionPolicy.STRICT:
-            return self.switch_pairs_strict
-        return self.switch_pairs_lenient
-
     def cost(self, policy: TransitionPolicy) -> float:
-        """This group's contribution to Eq. 10 (weighted when the search
-        carries pair weights; then a float, otherwise an integral count
-        times the frame footprint)."""
-        return self.frames * self.switch_pairs(policy)
+        """This group's contribution to Eq. 10 under ``policy``."""
+        if policy is TransitionPolicy.STRICT:
+            return self.cost_strict
+        return self.cost_lenient
 
 
 def _switch_pair_counts(activity: Sequence[str | None]) -> tuple[int, int]:
@@ -178,7 +183,7 @@ def _switch_stats(
 
     The choice depends only on the configuration count and the presence
     of encoded ids, both fixed for one search, so every group -- and the
-    pair-stat peeks in :class:`_PairStats` -- computes with the same
+    pair-gain peeks of :func:`_peek_gain` -- computes with the same
     implementation and gets bit-identical values.
     """
     vectorize = ids is not None and len(activity) >= _VECTORIZE_MIN_CONFIGS
@@ -195,6 +200,7 @@ def _make_group(
     members: tuple[BasePartition, ...],
     activity: tuple[str | None, ...],
     usage: int,
+    key: int,
     weights=None,
     ids=None,
 ) -> _Group:
@@ -217,9 +223,9 @@ def _make_group(
         requirement=requirement,
         frames=frames,
         footprint=footprint,
-        switch_pairs_strict=strict,
-        switch_pairs_lenient=lenient,
-        signature=frozenset(p.label for p in members),
+        cost_strict=frames * strict,
+        cost_lenient=frames * lenient,
+        key=key,
         ids=ids,
     )
 
@@ -227,13 +233,15 @@ def _make_group(
 def _initial_groups(
     design: PRDesign,
     cps: CandidatePartitionSet,
+    cache: "_MergeCache",
     weights=None,
-    codec: dict[str, int] | None = None,
+    encode: bool = False,
 ) -> list[_Group]:
     """Each candidate partition in its own region.
 
-    Passing a label ``codec`` (normally the merge cache's) additionally
-    encodes every activity vector for the vectorized kernels; groups of
+    Member masks come from ``cache``, the cache the groups will be
+    merged in.  ``encode`` additionally encodes every activity vector
+    with the cache's label codec for the vectorized kernels; groups of
     one search must share one codec.
     """
     config_modes = [frozenset(c.modes) for c in design.configurations]
@@ -248,32 +256,41 @@ def _initial_groups(
         for i, modes in enumerate(config_modes):
             if bp.modes & modes:
                 usage |= 1 << i
-        ids = encode_activity(activity, codec) if codec is not None else None
-        groups.append(_make_group((bp,), activity, usage, weights, ids))
+        ids = encode_activity(activity, cache.codec) if encode else None
+        key = cache.bit(bp.label)
+        groups.append(_make_group((bp,), activity, usage, key, weights, ids))
     return groups
 
 
 class _MergeCache:
-    """Memoises merged groups by member-signature pair.
+    """Memoises merged groups by member mask.
 
-    A cache is bound to one pair-weight matrix (or none); mixing weighted
-    and unweighted searches requires separate caches.  ``hits``/``misses``
-    are plain ints maintained unconditionally (two integer adds per merge
-    -- negligible next to group construction) so tracers can report cache
-    effectiveness without touching the hot path.  ``codec`` is the shared
-    label-id mapping for the vectorized kernels; merged ids are derived
-    by overlaying the parents' encodings.
+    ``codec`` is the cache's label table: it gives each label a dense
+    id, which the vectorized kernels encode activities with and
+    :meth:`bit` turns into the label's member-mask bit, so groups merged
+    in one cache must have been built with it.  Merged ids are derived
+    by overlaying the parents' encodings.  A cache is bound to one
+    pair-weight matrix (or none); mixing weighted and unweighted
+    searches requires separate caches.  ``misses`` counts the merged
+    groups built; ``hits`` counts the :meth:`merge` calls that found
+    their group (the incremental engine reads most groups straight from
+    ``_cache`` instead).  Both are plain ints so tracers can report
+    them without touching the hot path.
     """
 
     def __init__(self, weights=None) -> None:
-        self._cache: dict[frozenset[str], _Group] = {}
+        self._cache: dict[int, _Group] = {}
         self.weights = weights
         self.codec: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
 
+    def bit(self, label: str) -> int:
+        """The member-mask bit of ``label``, assigned on first use."""
+        return 1 << self.codec.setdefault(label, len(self.codec))
+
     def merge(self, a: _Group, b: _Group) -> _Group:
-        key = a.signature | b.signature
+        key = a.key | b.key
         merged = self._cache.get(key)
         if merged is None:
             self.misses += 1
@@ -287,6 +304,7 @@ class _MergeCache:
                 a.members + b.members,
                 activity,
                 a.usage | b.usage,
+                key,
                 self.weights,
                 ids,
             )
@@ -314,91 +332,52 @@ def _total_cost(groups: Sequence[_Group], policy: TransitionPolicy) -> float:
     return sum(g.cost(policy) for g in groups)
 
 
-class _PairStats:
-    """Memoised (merged cost, merged footprint) of compatible pairs.
+def _peek_gain(
+    cache: _MergeCache, a: _Group, b: _Group, strict: bool
+) -> tuple[float, int]:
+    """(cost delta, footprint saved) of merging the compatible pair
+    ``(a, b)``, exactly as ``cache.merge(a, b)`` would give them.
 
-    Two access paths, both reporting exactly what ``cache.merge(a, b)``
-    would (an existing cache entry is consulted first -- a cache shared
-    across the candidate sets of one design may hold a group whose
-    activity was derived under an earlier set's cover, and the reference
-    engine scores with that entry):
-
-    * :meth:`peek` never allocates the merged :class:`_Group` or touches
-      the cache's hit/miss books -- used to rank ``initial_pairs`` and to
-      key the incremental engine's base-pair lists (absent a cache entry
-      it derives the value from the overlay directly);
-    * :meth:`evaluate` materialises the pair through ``cache.merge`` the
-      first time -- the incremental engine uses it for every pair a
-      reference descent would itself evaluate, so both engines leave the
-      shared cache with identical contents (on which *later* searches'
-      values depend).
-
-    Callers derive the reference engine's scan values in the reference's
-    operand order (``merged - lower - upper``), keeping weighted floats
-    bit-identical.  Memos are keyed by object identity: every group of a
-    search is kept alive by the base list or the merge cache, and the
-    overlay of a *compatible* pair is symmetric, so one entry serves
-    both orders.
+    An existing cache entry is read first -- a cache shared across the
+    candidate sets of one design may hold a group whose activity was
+    derived under an earlier set's cover, and the reference engine
+    scores with that entry.  Absent one, the merged values are derived
+    from the overlay directly, and nothing is added to the cache, so a
+    peek never changes which pairs are materialised.  The delta takes
+    the reference scan's operand order (``merged - a - b``), keeping
+    weighted floats bit-identical.
     """
-
-    __slots__ = ("_strict", "_cache", "_memo", "_materialised")
-
-    def __init__(self, policy: TransitionPolicy, cache: _MergeCache) -> None:
-        self._strict = policy is TransitionPolicy.STRICT
-        self._cache = cache
-        self._memo: dict[tuple[int, int], tuple[float, Vec]] = {}
-        self._materialised: set[tuple[int, int]] = set()
-
-    def _value_of(self, merged: _Group) -> tuple[float, Vec]:
-        sw = (
-            merged.switch_pairs_strict
-            if self._strict
-            else merged.switch_pairs_lenient
+    merged = cache._cache.get(a.key | b.key)
+    if merged is not None:
+        merged_cost = merged.cost_strict if strict else merged.cost_lenient
+        footprint = merged.footprint
+    else:
+        ra, rb = a.requirement, b.requirement
+        req = (
+            ra[0] if ra[0] >= rb[0] else rb[0],
+            ra[1] if ra[1] >= rb[1] else rb[1],
+            ra[2] if ra[2] >= rb[2] else rb[2],
         )
-        return (merged.frames * sw, merged.footprint)
-
-    def peek(self, a: _Group, b: _Group) -> tuple[float, Vec]:
-        ka, kb = id(a), id(b)
-        key = (ka, kb) if ka < kb else (kb, ka)
-        val = self._memo.get(key)
-        if val is None:
-            cached = self._cache._cache.get(a.signature | b.signature)
-            if cached is not None:
-                val = self._value_of(cached)
-            else:
-                ra, rb = a.requirement, b.requirement
-                req = (
-                    ra[0] if ra[0] >= rb[0] else rb[0],
-                    ra[1] if ra[1] >= rb[1] else rb[1],
-                    ra[2] if ra[2] >= rb[2] else rb[2],
-                )
-                footprint, frames = _quantise(req)
-                activity = tuple(
-                    x if x is not None else y
-                    for x, y in zip(a.activity, b.activity)
-                )
-                ids = None
-                if a.ids is not None and b.ids is not None:
-                    ids = merge_encoded(a.ids, b.ids)
-                sw_strict, sw_lenient = _switch_stats(
-                    activity, ids, self._cache.weights
-                )
-                val = (
-                    frames * (sw_strict if self._strict else sw_lenient),
-                    footprint,
-                )
-            self._memo[key] = val
-        return val
-
-    def evaluate(self, a: _Group, b: _Group) -> tuple[float, Vec]:
-        ka, kb = id(a), id(b)
-        key = (ka, kb) if ka < kb else (kb, ka)
-        if key in self._materialised:
-            return self._memo[key]
-        self._materialised.add(key)
-        val = self._value_of(self._cache.merge(a, b))
-        self._memo[key] = val
-        return val
+        footprint, frames = _quantise(req)
+        activity = tuple(
+            x if x is not None else y for x, y in zip(a.activity, b.activity)
+        )
+        ids = None
+        if a.ids is not None and b.ids is not None:
+            ids = merge_encoded(a.ids, b.ids)
+        sw_strict, sw_lenient = _switch_stats(activity, ids, cache.weights)
+        merged_cost = frames * (sw_strict if strict else sw_lenient)
+    if strict:
+        delta = merged_cost - a.cost_strict - b.cost_strict
+    else:
+        delta = merged_cost - a.cost_lenient - b.cost_lenient
+    fa, fb = a.footprint, b.footprint
+    saved = (
+        (fa[0] + fb[0] - footprint[0])
+        + (fa[1] + fb[1] - footprint[1])
+        + (fa[2] + fb[2] - footprint[2])
+    )
+    return delta, saved
 
 
 class _HeapStats:
@@ -489,49 +468,53 @@ def search_candidate_set(
     cache = merge_cache or _MergeCache(options.pair_weights)
     cache_hits0, cache_misses0 = cache.hits, cache.misses
 
-    base = _initial_groups(design, cps, options.pair_weights, cache.codec)
+    base = _initial_groups(
+        design, cps, cache, options.pair_weights, encode=True
+    )
     best_groups: list[_Group] | None = None
     best_cost: float | None = None
     states = 0
     feasible = 0
-    seen_states: set[frozenset[frozenset[str]]] = set()
+    seen_states: set[frozenset[int]] = set()
 
-    def consider(groups: Collection[_Group], fits: bool | None = None) -> None:
-        nonlocal best_groups, best_cost, states, feasible
+    def score(groups: Collection[_Group]) -> None:
+        """Keep a state that fits the budget if it is the best so far."""
+        nonlocal best_groups, best_cost, feasible
+        feasible += 1
+        cost = _total_cost(groups, policy)
+        if best_cost is None or cost < best_cost or (
+            cost == best_cost
+            and best_groups is not None
+            and len(groups) < len(best_groups)
+        ):
+            best_cost = cost
+            best_groups = list(groups)
+
+    def consider(groups: Collection[_Group]) -> None:
+        """Count one explored state and score it if it fits."""
+        nonlocal states
         states += 1
-        if fits is None:
-            fits = _fits(groups, cap)
-        if fits:
-            feasible += 1
-            cost = _total_cost(groups, policy)
-            if best_cost is None or cost < best_cost or (
-                cost == best_cost
-                and best_groups is not None
-                and len(groups) < len(best_groups)
-            ):
-                best_cost = cost
-                best_groups = list(groups)
+        if _fits(groups, cap):
+            score(groups)
 
     consider(base)
 
-    # All compatible pairs at the start, ordered by the cost delta of the
-    # merge so capped runs try the most promising seeds first.  The delta
-    # comes from the pair-stat peek -- identical to materialising the
-    # merged group, but without seeding the merge cache for pairs that
-    # max_initial_pairs would discard anyway.
-    pair_stats = _PairStats(policy, cache)
-
-    def seed_delta(ij: tuple[int, int]) -> float:
-        a, b = base[ij[0]], base[ij[1]]
-        merged_cost, _ = pair_stats.peek(a, b)
-        return merged_cost - a.cost(policy) - b.cost(policy)
-
+    # Every compatible pair's (cost delta, footprint saved), peeked: no
+    # pair enters the merge cache before a reference rescan would put it
+    # there.  Restarts start from the pairs in delta order, so capped
+    # runs try the most promising seeds first; ties keep the pair order.
     compatible_pairs = [
         (i, j)
         for i, j in itertools.combinations(range(len(base)), 2)
         if _mergeable(base[i], base[j])
     ]
-    initial_pairs = sorted(compatible_pairs, key=seed_delta)
+    strict = policy is TransitionPolicy.STRICT
+    gains = [
+        _peek_gain(cache, base[i], base[j], strict)
+        for i, j in compatible_pairs
+    ]
+    deltas = [delta for delta, _ in gains]
+    initial_pairs = [pair for _, pair in sorted(zip(deltas, compatible_pairs))]
     if options.max_initial_pairs is not None:
         initial_pairs = initial_pairs[: options.max_initial_pairs]
 
@@ -564,16 +547,18 @@ def search_candidate_set(
         descent_steps = _run_restarts_incremental(
             base,
             compatible_pairs,
+            gains,
             initial_pairs,
             cap,
             options,
-            consider,
+            score,
             seen_states,
             cache,
-            pair_stats,
             heap_stats,
             progress,
         )
+        # Each restart explores its start state and one state per step.
+        states += len(initial_pairs) + descent_steps
 
     tracer.count("merge.states_explored", states)
     tracer.count("merge.feasible_states", feasible)
@@ -597,13 +582,13 @@ def search_candidate_set(
 def _run_restarts_incremental(
     base: list[_Group],
     base_pairs: list[tuple[int, int]],
+    base_gains: list[tuple[float, int]],
     initial_pairs: list[tuple[int, int]],
     capacity: Vec,
     options: AllocationOptions,
-    consider: Callable[..., None],
-    seen_states: set[frozenset[frozenset[str]]],
+    score: Callable[[Collection[_Group]], None],
+    seen_states: set[frozenset[int]],
     cache: _MergeCache,
-    pair_stats: _PairStats,
     heap_stats: _HeapStats,
     progress: Callable[[int], None] | None = None,
 ) -> int:
@@ -619,41 +604,35 @@ def _run_restarts_incremental(
     footprint sum never increases under merging, so the mode flips at
     most once (one full heap rebuild).
 
-    Every compatible base pair (``base_pairs``; ``initial_pairs`` is the
-    ordered, possibly capped subset that starts a restart) is keyed once
-    per candidate set and mode, lazily, from :meth:`_PairStats.peek` into
-    a sorted list.  A restart ``(i, j)`` walks that list with a cursor
-    next to its own heap, which starts with the pairs of its merged group
-    (slot ``n``); the next candidate is the smaller head of the two.
-    Entries naming dead slots -- among them the base entries naming ``i``
-    or ``j`` -- are dropped when reached; per-pair merge stats are
-    memoised across restarts, so re-seeding never recomputes a merge.
+    Every compatible base pair (``base_pairs``, with their peeked
+    ``base_gains``; ``initial_pairs`` is the ordered, possibly capped
+    subset that starts a restart) is keyed once per candidate set and
+    mode, lazily, into a sorted list beside the slot mask of each entry.
+    A restart ``(i, j)`` walks that list with a cursor next to its own
+    heap, which holds the pairs of each newly merged group (slot ``n``
+    first); the next candidate is the smaller head of the two.  Base
+    entries naming a merged-away base slot -- among them those naming
+    ``i`` or ``j`` -- are skipped by testing their mask against the
+    ``dead`` mask; heap entries naming a dead slot are dropped when
+    reached.  Only the states that fit are passed to ``score``; the
+    caller counts the rest (one per restart and step).  Returns the
+    number of descent steps.
 
     Pair *materialisation* is deliberately kept congruent with the
     reference scan: the entries for a state are only built after that
     state passes the step-cap and seen-state gates -- exactly when the
-    reference engine would rescan it -- and go through
-    :meth:`_PairStats.evaluate`, which materialises the merged group in
-    the shared cache.  Base pairs are the exception, since ``peek`` adds
-    nothing to the cache: a pending list holds the ones not yet
-    materialised, and each gated restart ``(i, j)`` evaluates the pending
-    pairs touching neither ``i`` nor ``j`` -- exactly the base pairs the
-    reference rescan of its start state evaluates.  Searches later in a
-    ``partition()`` run read values out of that cache, so matching its
-    *contents* (not just this search's result) is part of the
-    bit-identical contract.
+    reference engine would rescan it -- and each one materialises its
+    merged group in the shared cache.  Base pairs are the exception,
+    since their gains were peeked: a pending list holds the ones not yet
+    materialised, and each gated restart ``(i, j)`` materialises the
+    pending pairs touching neither ``i`` nor ``j`` -- exactly the base
+    pairs the reference rescan of its start state evaluates.  So every
+    pair a descent takes is already in the cache under its member mask,
+    and searches later in a ``partition()`` run, which read values out
+    of that cache, see the contents the reference engine leaves; that
+    is part of the bit-identical contract.
     """
-    policy = options.policy
-    if policy is TransitionPolicy.STRICT:
-
-        def gcost(g: _Group) -> float:
-            return g.frames * g.switch_pairs_strict
-
-    else:
-
-        def gcost(g: _Group) -> float:
-            return g.frames * g.switch_pairs_lenient
-
+    strict = options.policy is TransitionPolicy.STRICT
     cap_c, cap_b, cap_d = capacity
     max_steps = options.max_descent_steps
     n = len(base)
@@ -663,56 +642,56 @@ def _run_restarts_incremental(
         base_c += fc
         base_b += fb
         base_d += fd
+    merge = cache.merge
+    cached = cache._cache
 
-    def entry_for(slot_lo, slot_hi, lo, hi, mode_fits,
-                  stats=pair_stats.evaluate):
-        merged_cost, merged_fp = stats(lo, hi)
-        lo_fp = lo.footprint
-        hi_fp = hi.footprint
-        # Same operand order as the reference scan: (merged - lo) - hi.
-        delta = merged_cost - gcost(lo) - gcost(hi)
-        saved = (
-            (lo_fp[0] + hi_fp[0] - merged_fp[0])
-            + (lo_fp[1] + hi_fp[1] - merged_fp[1])
-            + (lo_fp[2] + hi_fp[2] - merged_fp[2])
-        )
-        if mode_fits:
-            return (delta, -saved, slot_lo, slot_hi)
-        return (-saved, delta, slot_lo, slot_hi)
-
-    def build_entries(items, mode_fits):
+    def rebuild(items: list[tuple[int, _Group]]) -> list:
+        """Cost-first entries of every compatible live pair, sorted."""
         entries = []
         m = len(items)
         for x in range(m):
-            sx, gx = items[x]
-            ux = gx.usage
+            sx, lo = items[x]
+            lo_cost = lo.cost_strict if strict else lo.cost_lenient
+            lo_fp = lo.footprint
             for y in range(x + 1, m):
-                sy, gy = items[y]
-                if ux & gy.usage:
+                sy, hi = items[y]
+                if lo.usage & hi.usage:
                     continue
-                entries.append(entry_for(sx, sy, gx, gy, mode_fits))
+                merged = merge(lo, hi)
+                hi_fp, fp = hi.footprint, merged.footprint
+                if strict:
+                    delta = merged.cost_strict - lo_cost - hi.cost_strict
+                else:
+                    delta = merged.cost_lenient - lo_cost - hi.cost_lenient
+                saved = (
+                    (lo_fp[0] + hi_fp[0] - fp[0])
+                    + (lo_fp[1] + hi_fp[1] - fp[1])
+                    + (lo_fp[2] + hi_fp[2] - fp[2])
+                )
+                entries.append((delta, -saved, sx, sy))
         entries.sort()
         return entries
 
-    # One sorted list of base-pair entries per mode, shared by every
-    # restart of this candidate set and built on first use.
-    base_sorted: list[list | None] = [None, None]
+    # One sorted list of base-pair entries per mode, with each entry's
+    # slot mask beside it, shared by every restart of this candidate set
+    # and built on first use.
+    base_lists: list[tuple[list, list[int]] | None] = [None, None]
 
-    def base_entries(mode_fits):
-        entries = base_sorted[mode_fits]
-        if entries is None:
+    def base_list(mode_fits: bool) -> tuple[list, list[int]]:
+        got = base_lists[mode_fits]
+        if got is None:
             entries = sorted(
-                entry_for(x, y, base[x], base[y], mode_fits, pair_stats.peek)
-                for x, y in base_pairs
+                (delta, -saved, x, y) if mode_fits else (-saved, delta, x, y)
+                for (x, y), (delta, saved) in zip(base_pairs, base_gains)
             )
-            base_sorted[mode_fits] = entries
-        return entries
+            masks = [(1 << e[2]) | (1 << e[3]) for e in entries]
+            got = base_lists[mode_fits] = (entries, masks)
+        return got
 
     # Base pairs not yet materialised in the merge cache.
     pending = base_pairs
-    evaluate = pair_stats.evaluate
     base_slots = dict(enumerate(base))
-    base_sigs = frozenset(g.signature for g in base)
+    base_keys = frozenset(g.key for g in base)
 
     total_steps = 0
     pushes = pops = stale_drops = rebuilds = 0
@@ -721,29 +700,27 @@ def _run_restarts_incremental(
 
     for restart, (i, j) in enumerate(initial_pairs):
         gi, gj = base[i], base[j]
-        merged = cache.merge(gi, gj)
+        grown = merge(gi, gj)
         alive: dict[int, _Group] = base_slots.copy()
         del alive[i]
         del alive[j]
         slot = n
-        alive[slot] = merged
+        alive[slot] = grown
 
-        mc, mb, md = merged.footprint
-        run_c = base_c - gi.footprint[0] - gj.footprint[0] + mc
-        run_b = base_b - gi.footprint[1] - gj.footprint[1] + mb
-        run_d = base_d - gi.footprint[2] - gj.footprint[2] + md
+        fi, fj, fm = gi.footprint, gj.footprint, grown.footprint
+        run_c = base_c - fi[0] - fj[0] + fm[0]
+        run_b = base_b - fi[1] - fj[1] + fm[1]
+        run_d = base_d - fi[2] - fj[2] + fm[2]
         fits_now = run_c <= cap_c and run_b <= cap_b and run_d <= cap_d
-
-        consider(alive.values(), fits_now)
+        if fits_now:
+            score(alive.values())
 
         steps = 0
-        state_sig = base_sigs - {gi.signature, gj.signature} | {
-            merged.signature
-        }
+        state = base_keys - {gi.key, gj.key} | {grown.key}
         # max_descent_steps is validated positive, so the reference's
         # step-cap check never fires before the first step.
-        if len(alive) > 1 and state_sig not in seen_states:
-            seen_states.add(state_sig)
+        if len(alive) > 1 and state not in seen_states:
+            seen_states.add(state)
             if pending:
                 keep = []
                 for pair in pending:
@@ -751,32 +728,62 @@ def _run_restarts_incremental(
                     if x == i or x == j or y == i or y == j:
                         keep.append(pair)
                     else:
-                        evaluate(base[x], base[y])
+                        merge(base[x], base[y])
                 pending = keep
-            sig_set = set(state_sig)
+            state_keys = set(state)
             mode = fits_now
-            # The next candidate is the smaller head of the shared base
-            # list and this restart's heap; base entries naming i or j
-            # are stale from the start.
-            blist = base_entries(mode)
+            blist, bmasks = base_list(mode)
             bpos, blen = 0, len(blist)
-            mu = merged.usage
-            heap = [
-                entry_for(s, slot, g, merged, mode)
-                for s, g in alive.items()
-                if s != slot and not g.usage & mu
-            ]
-            heapq.heapify(heap)
-            pushes += blen + len(heap)
+            pushes += blen
+            dead = (1 << i) | (1 << j)
+            heap: list = []
 
             while True:
+                if grown is not None:
+                    # Key the pairs of the newly merged group, which holds
+                    # the highest live slot, with each compatible live
+                    # group.  Same operand order as the reference scan:
+                    # (merged - lower) - upper.
+                    gk, gu = grown.key, grown.usage
+                    gf = grown.footprint
+                    g_cost = grown.cost_strict if strict else grown.cost_lenient
+                    for s, g in alive.items():
+                        if g.usage & gu or s == slot:
+                            continue
+                        merged = cached.get(g.key | gk)
+                        if merged is None:
+                            merged = merge(g, grown)
+                        fp, mf = g.footprint, merged.footprint
+                        if strict:
+                            delta = merged.cost_strict - g.cost_strict - g_cost
+                        else:
+                            delta = merged.cost_lenient - g.cost_lenient - g_cost
+                        saved = (
+                            (fp[0] + gf[0] - mf[0])
+                            + (fp[1] + gf[1] - mf[1])
+                            + (fp[2] + gf[2] - mf[2])
+                        )
+                        push(
+                            heap,
+                            (delta, -saved, s, slot)
+                            if mode
+                            else (-saved, delta, s, slot),
+                        )
+                        pushes += 1
+
+                # The next candidate is the smaller head of the shared
+                # base list and this restart's heap.
                 while True:
                     if bpos < blen:
-                        entry = blist[bpos]
-                        if heap and heap[0] < entry:
-                            entry = pop(heap)
-                        else:
+                        if bmasks[bpos] & dead:
                             bpos += 1
+                            stale_drops += 1
+                            continue
+                        entry = blist[bpos]
+                        if not heap or entry < heap[0]:
+                            bpos += 1
+                            break
+                        entry = pop(heap)
                     elif heap:
                         entry = pop(heap)
                     else:
@@ -794,47 +801,42 @@ def _run_restarts_incremental(
                 slot_lo, slot_hi = entry[2], entry[3]
                 ga = alive.pop(slot_lo)
                 gb = alive.pop(slot_hi)
-                merged_next = cache.merge(ga, gb)
+                grown = cached[ga.key | gb.key]
+                dead |= (1 << slot_lo) | (1 << slot_hi)
                 slot += 1
-                alive[slot] = merged_next
-                run_c += merged_next.footprint[0] - ga.footprint[0] - gb.footprint[0]
-                run_b += merged_next.footprint[1] - ga.footprint[1] - gb.footprint[1]
-                run_d += merged_next.footprint[2] - ga.footprint[2] - gb.footprint[2]
+                alive[slot] = grown
+                fa, fb, fm = ga.footprint, gb.footprint, grown.footprint
+                run_c += fm[0] - fa[0] - fb[0]
+                run_b += fm[1] - fa[1] - fb[1]
+                run_d += fm[2] - fa[2] - fb[2]
                 fits_now = run_c <= cap_c and run_b <= cap_b and run_d <= cap_d
-                sig_set.discard(ga.signature)
-                sig_set.discard(gb.signature)
-                sig_set.add(merged_next.signature)
-                consider(alive.values(), fits_now)
+                if fits_now:
+                    score(alive.values())
                 steps += 1
                 if len(alive) <= 1:
                     break
                 if max_steps is not None and steps >= max_steps:
                     break
-                state_sig = frozenset(sig_set)
-                if state_sig in seen_states:
+                state_keys.discard(ga.key)
+                state_keys.discard(gb.key)
+                state_keys.add(grown.key)
+                state = frozenset(state_keys)
+                if state in seen_states:
                     break
-                seen_states.add(state_sig)
+                seen_states.add(state)
                 if fits_now and not mode:
                     # The arrangement started fitting: re-key every live
                     # pair from footprint-first to cost-first.  Footprint
                     # sums are non-increasing under merging, so this
                     # happens at most once per descent.
                     mode = True
-                    heap = build_entries(list(alive.items()), True)
+                    heap = rebuild(list(alive.items()))
                     blen = 0
                     rebuilds += 1
                     pushes += len(heap)
-                else:
-                    # fits_now never reverts, so mode == fits_now here.
-                    mu = merged_next.usage
-                    for s, g in alive.items():
-                        if s == slot or g.usage & mu:
-                            continue
-                        push(
-                            heap,
-                            entry_for(s, slot, g, merged_next, mode),
-                        )
-                        pushes += 1
+                    grown = None
+                # else fits_now never reverts, so mode == fits_now and the
+                # new group's pairs are keyed at the top of the loop.
 
         total_steps += steps
         if progress is not None:
@@ -851,7 +853,7 @@ def _greedy_descent(
     capacity: Vec,
     options: AllocationOptions,
     consider: Callable[[list[_Group]], None],
-    seen_states: set[frozenset[frozenset[str]]],
+    seen_states: set[frozenset[int]],
     cache: _MergeCache,
 ) -> int:
     """Best-improvement merging until no merge helps and the state fits.
@@ -870,10 +872,10 @@ def _greedy_descent(
     while len(groups) > 1:
         if options.max_descent_steps is not None and steps >= options.max_descent_steps:
             return steps
-        signature = frozenset(g.signature for g in groups)
-        if signature in seen_states:
+        state = frozenset(g.key for g in groups)
+        if state in seen_states:
             return steps
-        seen_states.add(signature)
+        seen_states.add(state)
 
         fits = _fits(groups, capacity)
         best_merge: tuple[int, int, _Group] | None = None
@@ -928,7 +930,7 @@ def groups_to_scheme(
     Regions are numbered in a deterministic order (sorted by member
     labels) so repeated runs print identical tables.
     """
-    ordered = sorted(groups, key=lambda g: sorted(g.signature))
+    ordered = sorted(groups, key=lambda g: sorted(p.label for p in g.members))
     regions = tuple(
         Region(name=f"PRR{i + 1}", partitions=g.members)
         for i, g in enumerate(ordered)

@@ -129,7 +129,7 @@ def anneal_candidate_set(
     tracer = tracer or NULL_TRACER
     rng = np.random.default_rng(options.seed)
     cache = _MergeCache()
-    base = _initial_groups(design, cps)
+    base = _initial_groups(design, cps, cache)
     if len(base) < 2:
         g = base
         return (g, sum(x.cost(policy) for x in g)) if _feasible(

@@ -65,8 +65,8 @@ def exact_candidate_set(
             f"candidate set has {len(cps.partitions)} partitions; exact "
             f"enumeration is limited to {max_partitions}"
         )
-    base = _initial_groups(design, cps)
     cache = _MergeCache()
+    base = _initial_groups(design, cps, cache)
     cap = capacity.as_tuple()
 
     best_cost: float | None = None

@@ -107,14 +107,14 @@ def pareto_front(
 
     for cps in candidate_partition_sets(bps, cmatrix, max_sets=max_candidate_sets):
         cache = _MergeCache()
-        seen: set[frozenset[frozenset[str]]] = set()
+        seen: set[frozenset[int]] = set()
 
         # The search API reports only its best state, so drive the same
         # restart + descent machinery directly with a collecting callback.
         from .allocation import _greedy_descent, _initial_groups, _mergeable
         import itertools
 
-        base = _initial_groups(design, cps)
+        base = _initial_groups(design, cps, cache)
 
         def collect(groups) -> None:
             usage = ResourceVector.zero()

@@ -75,12 +75,12 @@ class TestQuantise:
 class TestInitialGroups:
     def test_one_group_per_partition(self, paper_example):
         cps = first_cps(paper_example)
-        groups = _initial_groups(paper_example, cps)
+        groups = _initial_groups(paper_example, cps, _MergeCache())
         assert len(groups) == len(cps.partitions)
 
     def test_activity_matches_cover(self, paper_example):
         cps = first_cps(paper_example)
-        groups = _initial_groups(paper_example, cps)
+        groups = _initial_groups(paper_example, cps, _MergeCache())
         names = [c.name for c in paper_example.configurations]
         for bp, group in zip(cps.partitions, groups):
             for cname, active in zip(names, group.activity):
@@ -88,24 +88,24 @@ class TestInitialGroups:
 
     def test_usage_mask(self, paper_example):
         cps = first_cps(paper_example)
-        groups = _initial_groups(paper_example, cps)
-        b2 = next(g for g in groups if g.signature == frozenset({"{B2}"}))
+        groups = _initial_groups(paper_example, cps, _MergeCache())
+        b2 = next(g for g in groups if g.members[0].label == "{B2}")
         # B2 occurs in Conf.1, 3, 4, 5 -> bits 0, 2, 3, 4.
         assert b2.usage == 0b11101
 
     def test_mergeable_iff_disjoint_usage(self, paper_example):
         cps = first_cps(paper_example)
-        groups = _initial_groups(paper_example, cps)
-        by_sig = {next(iter(g.signature)): g for g in groups}
-        assert _mergeable(by_sig["{A1}"], by_sig["{A2}"])
-        assert not _mergeable(by_sig["{A1}"], by_sig["{B1}"])
+        groups = _initial_groups(paper_example, cps, _MergeCache())
+        by_label = {g.members[0].label: g for g in groups}
+        assert _mergeable(by_label["{A1}"], by_label["{A2}"])
+        assert not _mergeable(by_label["{A1}"], by_label["{B1}"])
 
 
 class TestMergeCache:
     def test_same_object_returned(self, paper_example):
         cps = first_cps(paper_example)
-        groups = _initial_groups(paper_example, cps)
         cache = _MergeCache()
+        groups = _initial_groups(paper_example, cps, cache)
         a, b = groups[0], groups[1]
         if not _mergeable(a, b):
             a, b = next(
@@ -117,28 +117,48 @@ class TestMergeCache:
         m2 = cache.merge(b, a)
         assert m1 is m2
 
-    def test_merged_activity_combines(self, paper_example):
+    def test_key_is_member_mask(self, paper_example):
         cps = first_cps(paper_example)
-        groups = _initial_groups(paper_example, cps)
+        cache = _MergeCache()
+        groups = _initial_groups(paper_example, cps, cache)
+        keys = [g.key for g in groups]
+        # One distinct bit per base-partition label, from the cache.
+        assert all(k and not k & (k - 1) for k in keys)
+        assert len(set(keys)) == len(keys)
+        assert keys == [cache.bit(g.members[0].label) for g in groups]
         a, b = next(
             (x, y)
             for x, y in itertools.combinations(groups, 2)
             if _mergeable(x, y)
         )
-        merged = _MergeCache().merge(a, b)
+        merged = cache.merge(a, b)
+        assert merged.key == a.key | b.key
+        assert cache._cache[merged.key] is merged
+
+    def test_merged_activity_combines(self, paper_example):
+        cps = first_cps(paper_example)
+        cache = _MergeCache()
+        groups = _initial_groups(paper_example, cps, cache)
+        a, b = next(
+            (x, y)
+            for x, y in itertools.combinations(groups, 2)
+            if _mergeable(x, y)
+        )
+        merged = cache.merge(a, b)
         for x, y, z in zip(a.activity, b.activity, merged.activity):
             assert z == (x if x is not None else y)
         assert merged.usage == a.usage | b.usage
 
     def test_merged_frames_is_envelope_quantised(self, paper_example):
         cps = first_cps(paper_example)
-        groups = _initial_groups(paper_example, cps)
+        cache = _MergeCache()
+        groups = _initial_groups(paper_example, cps, cache)
         a, b = next(
             (x, y)
             for x, y in itertools.combinations(groups, 2)
             if _mergeable(x, y)
         )
-        merged = _MergeCache().merge(a, b)
+        merged = cache.merge(a, b)
         req = tuple(max(x, y) for x, y in zip(a.requirement, b.requirement))
         assert merged.requirement == req
         assert merged.frames == _quantise(req)[1]
@@ -187,7 +207,8 @@ class TestSearch:
         """Exhaustive check over all compatible group partitions."""
         cps = first_cps(tiny_design)
         capacity = ResourceVector(340, 0, 0)
-        groups = _initial_groups(tiny_design, cps)
+        cache = _MergeCache()
+        groups = _initial_groups(tiny_design, cps, cache)
 
         best = None
 
@@ -203,7 +224,6 @@ class TestSearch:
                 for i in range(len(sub)):
                     yield sub[:i] + [sub[i] + [head]] + sub[i + 1 :]
 
-        cache = _MergeCache()
         for blocks in partitions_of(list(range(len(groups)))):
             merged = []
             ok = True
@@ -223,7 +243,7 @@ class TestSearch:
             if usage[0] > capacity.clb:
                 continue
             cost = sum(
-                g.frames * g.switch_pairs_lenient for g in merged
+                g.frames * _switch_pair_counts(g.activity)[1] for g in merged
             )
             if best is None or cost < best:
                 best = cost
@@ -316,8 +336,8 @@ class TestSearch:
 
 def seed_order(design, cps, policy=DEFAULT_POLICY):
     """Base groups and their compatible pairs in restart order."""
-    base = _initial_groups(design, cps)
     cache = _MergeCache()
+    base = _initial_groups(design, cps, cache)
 
     def delta(pair):
         a, b = base[pair[0]], base[pair[1]]
@@ -339,6 +359,13 @@ def starts_fitting(base, pair, capacity):
         sum(g.footprint[r] for g in rest) + merged.footprint[r] <= cap
         for r, cap in enumerate(capacity.as_tuple())
     )
+
+
+def cached_sets(cache):
+    """The member label sets a merge cache holds groups for."""
+    return {
+        frozenset(p.label for p in g.members) for g in cache._cache.values()
+    }
 
 
 def both_engines(design, cps, capacity, **kwargs):
@@ -390,9 +417,9 @@ class TestBasePairSeeding:
             max_initial_pairs=1,
         )
         assert same_outcome(ref, inc)
-        assert set(inc_cache._cache) == set(ref_cache._cache)
+        assert cached_sets(inc_cache) == cached_sets(ref_cache)
         # Every group of the one descent holds both i and j or neither.
-        assert all((li in k) == (lj in k) for k in inc_cache._cache)
+        assert all((li in k) == (lj in k) for k in cached_sets(inc_cache))
 
     def test_mode_flip_with_cost_first_start(self, receiver):
         cps = first_cps(receiver)
@@ -412,10 +439,11 @@ class TestBasePairSeeding:
         )
         assert tracer.counters["merge.heap_rebuilds"] > 0
         assert same_outcome(ref, inc)
-        assert set(inc_cache._cache) == set(ref_cache._cache)
+        assert cached_sets(inc_cache) == cached_sets(ref_cache)
         # Precondition: the rescans leave some base pair unmaterialised.
         assert any(
-            base[x].signature | base[y].signature not in ref_cache._cache
+            {base[x].members[0].label, base[y].members[0].label}
+            not in cached_sets(ref_cache)
             for x, y in pairs
         )
 

@@ -100,7 +100,12 @@ def search_fingerprint(design, capacity, engine, policy, weights=None,
         )
     # Cache contents feed later searches; key set and member order are
     # part of the bit-identical contract.
-    out.append(sorted(tuple(sorted(k)) for k in cache._cache))
+    out.append(
+        sorted(
+            tuple(sorted(p.label for p in g.members))
+            for g in cache._cache.values()
+        )
+    )
     return out
 
 

@@ -6,7 +6,9 @@ stood when this file was added; a search change that moves any of them
 -- a device pick, a proposed total, a skipped design -- fails here, not
 only in the benchmark's output digests.  The Fig. 7-9 assertions pin
 the directions the paper reports (EXPERIMENTS.md) alongside the exact
-sums and fractions they come from.
+sums and fractions they come from.  The merge search's work counters
+are pinned too: a change that explores other states fails here even
+when every reproduced number survives.
 """
 
 from __future__ import annotations
@@ -14,11 +16,18 @@ from __future__ import annotations
 import pytest
 
 from repro.eval import experiments as E
+from repro.obs import RecordingTracer
 
 
 @pytest.fixture(scope="module")
-def fleet():
-    return E.run_sweep(count=100, seed=2013)
+def traced_fleet():
+    tracer = RecordingTracer()
+    return E.run_sweep(count=100, seed=2013, tracer=tracer), tracer
+
+
+@pytest.fixture(scope="module")
+def fleet(traced_fleet):
+    return traced_fleet[0]
 
 
 class TestSecVCounts:
@@ -35,6 +44,25 @@ class TestSecVCounts:
         assert fleet.device_boundaries() == {
             "LX20T": 0, "LX30": 1, "FX30T": 4, "FX50T": 9,
             "SX70T": 19, "FX95T": 62, "FX130T": 90,
+        }
+
+
+class TestSearchWork:
+    def test_work_counters(self, traced_fleet):
+        counters = traced_fleet[1].counters
+        names = (
+            "merge.states_explored",
+            "merge.feasible_states",
+            "partition.candidate_sets",
+            "merge.initial_pairs",
+            "merge.descent_steps",
+        )
+        assert {k: counters[k] for k in names} == {
+            "merge.states_explored": 1_083_397,
+            "merge.feasible_states": 8_565,
+            "partition.candidate_sets": 4_513,
+            "merge.initial_pairs": 158_087,
+            "merge.descent_steps": 920_797,
         }
 
 
