@@ -23,24 +23,28 @@ Two engines produce bit-identical results (see docs/PERFORMANCE.md):
 * ``engine="incremental"`` (default) -- lazily invalidated sorted
   streams of merge candidates.  The compatible base-group pairs are
   keyed once per candidate set (and per mode) from the non-materialising
-  pair-stat peek into one sorted list that every restart reads with its
-  own cursor, skipping the entries that name a merged-away base group
-  by one AND against a mask of dead slots; a per-restart heap holds
-  only the pairs involving merged groups, and each step only evaluates
-  the pairs of the newly merged group, reading a pair's merged group
-  straight from the merge cache.  Keys carry monotone *slot* numbers
-  so ties come out in the reference engine's positional scan order.  A
-  pending list of base pairs keeps the merge cache's contents equal to
-  the reference's.  Running footprint totals replace the per-state
-  ``_fits`` rescan, and only the states that fit are scored.
+  pair-stat peek into one sorted list that every restart reads through
+  its own mask of live list positions, so the next candidate is the
+  mask's lowest set bit and no loop walks past the entries that name a
+  merged-away base group; a per-restart heap holds only the pairs
+  involving merged groups, and each step keys only the pairs of the
+  newly merged group with the live groups inside its compatibility mask
+  (int masks over base slots), reading a pair's merged group straight
+  from the merge cache.  Keys carry monotone *slot* numbers so ties come
+  out in the reference engine's positional scan order.  A pending list
+  of base pairs keeps the merge cache's contents equal to the
+  reference's.  Running footprint totals replace the per-state ``_fits``
+  rescan, only the states that fit are scored, and a seen state is one
+  int (:func:`_state_code`) updated by one multiply-add per merge.
 
 Implementation note: this is the hot loop of the whole library (the
 Fig. 7-9 sweep runs it hundreds of thousands of times), so the internal
 :class:`_Group` works on plain int tuples -- (clb, bram, dsp) -- instead
 of :class:`ResourceVector`, quantisation is inlined, each group carries
 its Eq. 10 cost under both policies, and a group is identified by one
-int member mask: merged groups are memoised under it, and a search
-state is the set of its groups' masks.  The public surface still speaks
+int member mask: merged groups are memoised under it, base groups under
+their label and activity, and a reference-engine search state is the
+frozenset of its groups' masks.  The public surface still speaks
 ``ResourceVector``/:class:`PartitioningScheme`.
 """
 
@@ -240,25 +244,38 @@ def _initial_groups(
     """Each candidate partition in its own region.
 
     Member masks come from ``cache``, the cache the groups will be
-    merged in.  ``encode`` additionally encodes every activity vector
-    with the cache's label codec for the vectorized kernels; groups of
-    one search must share one codec.
+    merged in, which also memoises each base group under its label and
+    activity vector: the candidate sets of one design share most of
+    their partitions, and a group depends only on the partition and the
+    activity the set's cover gives it.  ``encode`` additionally encodes
+    every activity vector with the cache's label codec when the design
+    has enough configurations for :func:`_switch_stats` to read the
+    encoding; groups of one search must share one codec, so one cache
+    must always be given the same ``encode``.
     """
-    config_modes = [frozenset(c.modes) for c in design.configurations]
     config_names = [c.name for c in design.configurations]
+    encode = encode and len(config_names) >= _VECTORIZE_MIN_CONFIGS
+    memo = cache.base_groups
+    config_modes: list[frozenset[str]] | None = None
     groups: list[_Group] = []
     for bp in cps.partitions:
+        label = bp.label
         activity = tuple(
-            bp.label if bp.label in cps.cover[name] else None
-            for name in config_names
+            label if label in cps.cover[name] else None for name in config_names
         )
-        usage = 0
-        for i, modes in enumerate(config_modes):
-            if bp.modes & modes:
-                usage |= 1 << i
-        ids = encode_activity(activity, cache.codec) if encode else None
-        key = cache.bit(bp.label)
-        groups.append(_make_group((bp,), activity, usage, key, weights, ids))
+        group = memo.get((label, activity))
+        if group is None:
+            if config_modes is None:
+                config_modes = [frozenset(c.modes) for c in design.configurations]
+            usage = 0
+            for i, modes in enumerate(config_modes):
+                if bp.modes & modes:
+                    usage |= 1 << i
+            ids = encode_activity(activity, cache.codec) if encode else None
+            key = cache.bit(label)
+            group = _make_group((bp,), activity, usage, key, weights, ids)
+            memo[(label, activity)] = group
+        groups.append(group)
     return groups
 
 
@@ -271,15 +288,18 @@ class _MergeCache:
     in one cache must have been built with it.  Merged ids are derived
     by overlaying the parents' encodings.  A cache is bound to one
     pair-weight matrix (or none); mixing weighted and unweighted
-    searches requires separate caches.  ``misses`` counts the merged
-    groups built; ``hits`` counts the :meth:`merge` calls that found
-    their group (the incremental engine reads most groups straight from
-    ``_cache`` instead).  Both are plain ints so tracers can report
-    them without touching the hot path.
+    searches requires separate caches.  ``base_groups`` holds the base
+    groups :func:`_initial_groups` built, keyed by (label, activity).
+    ``misses`` counts the merged groups built; ``hits`` counts the
+    :meth:`merge` calls that found their group (the incremental engine
+    reads most groups straight from ``_cache`` instead).  Both are
+    plain ints so tracers can report them without touching the hot
+    path.
     """
 
     def __init__(self, weights=None) -> None:
         self._cache: dict[int, _Group] = {}
+        self.base_groups: dict[tuple[str, tuple[str | None, ...]], _Group] = {}
         self.weights = weights
         self.codec: dict[str, int] = {}
         self.hits = 0
@@ -330,6 +350,34 @@ def _fits(groups: Sequence[_Group], capacity: Vec) -> bool:
 
 def _total_cost(groups: Sequence[_Group], policy: TransitionPolicy) -> float:
     return sum(g.cost(policy) for g in groups)
+
+
+def _state_code(roots: Iterable[int], width: int) -> int:
+    """One int naming a partition of base slots ``0..n-1``.
+
+    ``roots[s]`` is the lowest base slot of the group holding slot
+    ``s``; it fills digit ``s``, ``width`` (``n.bit_length()``) bits
+    wide, so every slot number fits and two partitions share a code
+    only if they are equal.
+    """
+    code = 0
+    for s, root in enumerate(roots):
+        code |= root << (width * s)
+    return code
+
+
+def _merged_code(
+    code: int, root_a: int, spread_a: int, root_b: int, spread_b: int
+) -> int:
+    """``code`` after the groups rooted at ``root_a`` and ``root_b`` merge.
+
+    ``spread_x`` has a 1 in the digit of every member of that group;
+    the group with the higher root takes the lower one in all its
+    digits, so the update is one multiply-add.
+    """
+    if root_a < root_b:
+        return code - (root_b - root_a) * spread_b
+    return code - (root_a - root_b) * spread_a
 
 
 def _peek_gain(
@@ -475,7 +523,6 @@ def search_candidate_set(
     best_cost: float | None = None
     states = 0
     feasible = 0
-    seen_states: set[frozenset[int]] = set()
 
     def score(groups: Collection[_Group]) -> None:
         """Keep a state that fits the budget if it is the best so far."""
@@ -534,6 +581,7 @@ def search_candidate_set(
             )
 
     if options.engine == "reference":
+        seen_states: set[frozenset[int]] = set()
         for restart, (i, j) in enumerate(initial_pairs):
             groups = [g for k, g in enumerate(base) if k not in (i, j)]
             groups.append(cache.merge(base[i], base[j]))
@@ -552,7 +600,6 @@ def search_candidate_set(
             cap,
             options,
             score,
-            seen_states,
             cache,
             heap_stats,
             progress,
@@ -587,7 +634,6 @@ def _run_restarts_incremental(
     capacity: Vec,
     options: AllocationOptions,
     score: Callable[[Collection[_Group]], None],
-    seen_states: set[frozenset[int]],
     cache: _MergeCache,
     heap_stats: _HeapStats,
     progress: Callable[[int], None] | None = None,
@@ -607,15 +653,29 @@ def _run_restarts_incremental(
     Every compatible base pair (``base_pairs``, with their peeked
     ``base_gains``; ``initial_pairs`` is the ordered, possibly capped
     subset that starts a restart) is keyed once per candidate set and
-    mode, lazily, into a sorted list beside the slot mask of each entry.
-    A restart ``(i, j)`` walks that list with a cursor next to its own
-    heap, which holds the pairs of each newly merged group (slot ``n``
-    first); the next candidate is the smaller head of the two.  Base
-    entries naming a merged-away base slot -- among them those naming
-    ``i`` or ``j`` -- are skipped by testing their mask against the
-    ``dead`` mask; heap entries naming a dead slot are dropped when
-    reached.  Only the states that fit are passed to ``score``; the
-    caller counts the rest (one per restart and step).  Returns the
+    mode, lazily, into a sorted list beside one position mask per base
+    slot (bit ``p`` set when entry ``p`` names the slot).  A restart
+    ``(i, j)`` walks that list next to its own heap, which holds the
+    pairs of each newly merged group (slot ``n`` first); the next
+    candidate is the smaller head of the two.  The restart's ``live``
+    mask holds the list positions neither taken nor naming a
+    merged-away base slot (clearing ``i``'s and ``j``'s entries at the
+    start, and a base slot's entries when it merges), so the next base
+    candidate is its lowest set bit and the skipped distance is counted
+    as stale.  Heap entries naming a dead slot are dropped when reached.
+
+    The rest of the bookkeeping is ints over base slots too.  Each slot
+    has a member mask, a compatibility mask (the AND of its members'
+    base compatibility masks: two groups may merge iff one's members
+    all lie inside the other's mask) and a *root*, its lowest member.
+    ``owner`` maps each live root to its live slot, and ``live_roots``
+    masks them, so a newly merged group keys only the live groups whose
+    root lies inside its compatibility mask and whose members do.  A
+    state is coded by :func:`_state_code` (digit ``s`` holds the root of
+    slot ``s``'s group); :func:`_merged_code` updates it with one
+    multiply-add per merge, and the code is canonical, so the seen-state
+    set holds ints.  Only the states that fit are passed to ``score``;
+    the caller counts the rest (one per restart and step).  Returns the
     number of descent steps.
 
     Pair *materialisation* is deliberately kept congruent with the
@@ -644,6 +704,7 @@ def _run_restarts_incremental(
         base_d += fd
     merge = cache.merge
     cached = cache._cache
+    merged_code = _merged_code
 
     def rebuild(items: list[tuple[int, _Group]]) -> list:
         """Cost-first entries of every compatible live pair, sorted."""
@@ -672,26 +733,46 @@ def _run_restarts_incremental(
         entries.sort()
         return entries
 
-    # One sorted list of base-pair entries per mode, with each entry's
-    # slot mask beside it, shared by every restart of this candidate set
-    # and built on first use.
-    base_lists: list[tuple[list, list[int]] | None] = [None, None]
+    # One sorted list of base-pair entries per mode, with the position
+    # mask of each base slot and the mask of every position, shared by
+    # every restart of this candidate set and built on first use.
+    base_lists: list[tuple[list, list[int], int] | None] = [None, None]
 
-    def base_list(mode_fits: bool) -> tuple[list, list[int]]:
+    def base_list(mode_fits: bool) -> tuple[list, list[int], int]:
         got = base_lists[mode_fits]
         if got is None:
             entries = sorted(
                 (delta, -saved, x, y) if mode_fits else (-saved, delta, x, y)
                 for (x, y), (delta, saved) in zip(base_pairs, base_gains)
             )
-            masks = [(1 << e[2]) | (1 << e[3]) for e in entries]
-            got = base_lists[mode_fits] = (entries, masks)
+            positions = [0] * n
+            for p, entry in enumerate(entries):
+                positions[entry[2]] |= 1 << p
+                positions[entry[3]] |= 1 << p
+            got = base_lists[mode_fits] = (
+                entries, positions, (1 << len(entries)) - 1
+            )
         return got
+
+    # Per-slot int bookkeeping over base slots.  A merged slot's entries
+    # are written when it is created, so one set of lists serves every
+    # restart; a descent creates at most n - 1 merged slots.
+    width = n.bit_length()
+    members = [1 << s for s in range(n)] + [0] * n
+    compat = [0] * (2 * n)
+    for x, y in base_pairs:
+        compat[x] |= 1 << y
+        compat[y] |= 1 << x
+    roots = list(range(n)) + [0] * n
+    base_owner = list(range(n))
+    all_roots = (1 << n) - 1
+    spreads = [1 << (width * s) for s in range(n)] + [0] * n
+    base_code = _state_code(range(n), width)
+    seen_states: set[int] = set()
 
     # Base pairs not yet materialised in the merge cache.
     pending = base_pairs
     base_slots = dict(enumerate(base))
-    base_keys = frozenset(g.key for g in base)
 
     total_steps = 0
     pushes = pops = stale_drops = rebuilds = 0
@@ -716,11 +797,11 @@ def _run_restarts_incremental(
             score(alive.values())
 
         steps = 0
-        state = base_keys - {gi.key, gj.key} | {grown.key}
+        code = merged_code(base_code, i, spreads[i], j, spreads[j])
         # max_descent_steps is validated positive, so the reference's
         # step-cap check never fires before the first step.
-        if len(alive) > 1 and state not in seen_states:
-            seen_states.add(state)
+        if len(alive) > 1 and code not in seen_states:
+            seen_states.add(code)
             if pending:
                 keep = []
                 for pair in pending:
@@ -730,26 +811,40 @@ def _run_restarts_incremental(
                     else:
                         merge(base[x], base[y])
                 pending = keep
-            state_keys = set(state)
+            owner = base_owner.copy()
+            owner[i] = slot
+            live_roots = all_roots ^ (1 << j)
+            members[slot] = (1 << i) | (1 << j)
+            compat[slot] = compat[i] & compat[j]
+            roots[slot] = i
+            spreads[slot] = spreads[i] + spreads[j]
             mode = fits_now
-            blist, bmasks = base_list(mode)
+            blist, positions, live = base_list(mode)
+            live &= ~(positions[i] | positions[j])
             bpos, blen = 0, len(blist)
             pushes += blen
-            dead = (1 << i) | (1 << j)
             heap: list = []
 
             while True:
                 if grown is not None:
                     # Key the pairs of the newly merged group, which holds
-                    # the highest live slot, with each compatible live
-                    # group.  Same operand order as the reference scan:
-                    # (merged - lower) - upper.
-                    gk, gu = grown.key, grown.usage
+                    # the highest live slot, with each live group whose
+                    # members all lie inside its compatibility mask; a
+                    # group whose root lies outside cannot.  Same operand
+                    # order as the reference scan: (merged - lower) - upper.
+                    gk = grown.key
                     gf = grown.footprint
                     g_cost = grown.cost_strict if strict else grown.cost_lenient
-                    for s, g in alive.items():
-                        if g.usage & gu or s == slot:
+                    inside = compat[slot]
+                    outside = ~inside
+                    rest = inside & live_roots
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        s = owner[low.bit_length() - 1]
+                        if members[s] & outside:
                             continue
+                        g = alive[s]
                         merged = cached.get(g.key | gk)
                         if merged is None:
                             merged = merge(g, grown)
@@ -774,21 +869,25 @@ def _run_restarts_incremental(
                 # The next candidate is the smaller head of the shared
                 # base list and this restart's heap.
                 while True:
-                    if bpos < blen:
-                        if bmasks[bpos] & dead:
-                            bpos += 1
-                            stale_drops += 1
-                            continue
-                        entry = blist[bpos]
+                    if live:
+                        low = live & -live
+                        p = low.bit_length() - 1
+                        stale_drops += p - bpos
+                        bpos = p
+                        entry = blist[p]
                         if not heap or entry < heap[0]:
                             bpos += 1
+                            live ^= low
                             break
                         entry = pop(heap)
-                    elif heap:
-                        entry = pop(heap)
                     else:
-                        entry = None
-                        break
+                        # Every base entry left names a dead slot.
+                        stale_drops += blen - bpos
+                        bpos = blen
+                        if not heap:
+                            entry = None
+                            break
+                        entry = pop(heap)
                     if entry[2] in alive and entry[3] in alive:
                         break
                     stale_drops += 1
@@ -802,7 +901,10 @@ def _run_restarts_incremental(
                 ga = alive.pop(slot_lo)
                 gb = alive.pop(slot_hi)
                 grown = cached[ga.key | gb.key]
-                dead |= (1 << slot_lo) | (1 << slot_hi)
+                if slot_hi < n:
+                    live &= ~(positions[slot_lo] | positions[slot_hi])
+                elif slot_lo < n:
+                    live &= ~positions[slot_lo]
                 slot += 1
                 alive[slot] = grown
                 fa, fb, fm = ga.footprint, gb.footprint, grown.footprint
@@ -817,13 +919,21 @@ def _run_restarts_incremental(
                     break
                 if max_steps is not None and steps >= max_steps:
                     break
-                state_keys.discard(ga.key)
-                state_keys.discard(gb.key)
-                state_keys.add(grown.key)
-                state = frozenset(state_keys)
-                if state in seen_states:
+                root, gone = roots[slot_lo], roots[slot_hi]
+                code = merged_code(
+                    code, root, spreads[slot_lo], gone, spreads[slot_hi]
+                )
+                if code in seen_states:
                     break
-                seen_states.add(state)
+                seen_states.add(code)
+                if gone < root:
+                    root, gone = gone, root
+                roots[slot] = root
+                owner[root] = slot
+                live_roots ^= 1 << gone
+                spreads[slot] = spreads[slot_lo] + spreads[slot_hi]
+                compat[slot] = compat[slot_lo] & compat[slot_hi]
+                members[slot] = members[slot_lo] | members[slot_hi]
                 if fits_now and not mode:
                     # The arrangement started fitting: re-key every live
                     # pair from footprint-first to cost-first.  Footprint
@@ -831,7 +941,8 @@ def _run_restarts_incremental(
                     # happens at most once per descent.
                     mode = True
                     heap = rebuild(list(alive.items()))
-                    blen = 0
+                    live = 0
+                    blen = bpos
                     rebuilds += 1
                     pushes += len(heap)
                     grown = None

@@ -533,6 +533,10 @@ def bench_timings(doc: Mapping[str, Any]) -> dict[str, float]:
     return out
 
 
+#: ``records`` entries that state a BENCH document's workload size.
+SIZE_KEYS = ("config", "designs", "sweep_traces")
+
+
 def bench_diff(
     old: Mapping[str, Any],
     new: Mapping[str, Any],
@@ -544,16 +548,16 @@ def bench_diff(
     representative time grew (regression) or shrank (improvement) by
     more than 25%.  Benchmarks present on only one side are listed but
     never flagged -- suite membership changes are not slowdowns.  Two
-    documents whose ``records`` both state a ``config`` or ``designs``
-    and disagree on it measured different workloads; comparing their
-    times would read a size change as a speed change, so that raises
-    :class:`BenchDiffError`.
+    documents whose ``records`` both state a size key
+    (:data:`SIZE_KEYS`) and disagree on it measured different
+    workloads; comparing their times would read a size change as a
+    speed change, so that raises :class:`BenchDiffError`.
     """
     if threshold < 0:
         raise BenchDiffError("threshold must be non-negative")
     old_records = old.get("records") or {}
     new_records = new.get("records") or {}
-    for name in ("config", "designs"):
+    for name in SIZE_KEYS:
         was, now = old_records.get(name), new_records.get(name)
         if was is not None and now is not None and was != now:
             raise BenchDiffError(

@@ -5,14 +5,19 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.resources import ResourceVector
 from repro.core.allocation import (
+    _VECTORIZE_MIN_CONFIGS,
     AllocationOptions,
+    _merged_code,
     _MergeCache,
     _initial_groups,
     _mergeable,
     _quantise,
+    _state_code,
     _switch_pair_counts,
     groups_to_scheme,
     search_candidate_set,
@@ -99,6 +104,89 @@ class TestInitialGroups:
         by_label = {g.members[0].label: g for g in groups}
         assert _mergeable(by_label["{A1}"], by_label["{A2}"])
         assert not _mergeable(by_label["{A1}"], by_label["{B1}"])
+
+    def test_base_groups_memoised_per_cache(self, paper_example):
+        cps = first_cps(paper_example)
+        cache = _MergeCache()
+        first = _initial_groups(paper_example, cps, cache, encode=True)
+        again = _initial_groups(paper_example, cps, cache, encode=True)
+        assert all(a is b for a, b in zip(first, again))
+        assert len(cache.base_groups) == len(first)
+        fresh = _initial_groups(paper_example, cps, _MergeCache(), encode=True)
+        assert [(g.key, g.cost_strict, g.cost_lenient) for g in fresh] == [
+            (g.key, g.cost_strict, g.cost_lenient) for g in first
+        ]
+
+    def test_encoded_only_where_the_kernels_read_it(self, paper_example):
+        cps = first_cps(paper_example)
+        assert len(paper_example.configurations) < _VECTORIZE_MIN_CONFIGS
+        groups = _initial_groups(paper_example, cps, _MergeCache(), encode=True)
+        assert all(g.ids is None for g in groups)
+
+
+def partition_of(roots):
+    """The blocks of the partition whose slot ``s`` lies in block
+    ``roots[s]``."""
+    blocks: dict[int, set[int]] = {}
+    for s, root in enumerate(roots):
+        blocks.setdefault(root, set()).add(s)
+    return frozenset(frozenset(b) for b in blocks.values())
+
+
+class TestStateCode:
+    """The incremental engine's seen-state code: one int per partition
+    of the base slots, updated by one multiply-add per merge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    max_size=2 * n,
+                ),
+            )
+        )
+    )
+    def test_incremental_code_matches_scratch(self, case):
+        n, merges = case
+        width = n.bit_length()
+        roots = list(range(n))  # slot -> lowest slot of its group
+        spread = {s: 1 << (width * s) for s in range(n)}  # by root
+        code = _state_code(roots, width)
+        seen = {code}
+        for x, y in merges:
+            a, b = roots[x], roots[y]
+            if a == b:
+                continue
+            code = _merged_code(code, a, spread[a], b, spread[b])
+            keep, gone = min(a, b), max(a, b)
+            spread[keep] += spread.pop(gone)
+            roots = [keep if r == gone else r for r in roots]
+            assert code == _state_code(roots, width)
+            # Every merge makes a coarser partition, never seen before.
+            assert code not in seen
+            seen.add(code)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_codes_equal_only_for_equal_partitions(self, labels):
+        width = len(labels[0]).bit_length()
+        codes, partitions = [], []
+        for side in labels:
+            first: dict[int, int] = {}
+            roots = [first.setdefault(lbl, s) for s, lbl in enumerate(side)]
+            codes.append(_state_code(roots, width))
+            partitions.append(partition_of(roots))
+        assert (codes[0] == codes[1]) == (partitions[0] == partitions[1])
 
 
 class TestMergeCache:

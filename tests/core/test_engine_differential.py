@@ -4,11 +4,15 @@ The ``"incremental"`` engine (heap-driven pair selection, memoised pair
 stats, vectorized switch kernels) must reproduce the ``"reference"``
 engine bit-for-bit: same best cost (exact float equality), same winning
 arrangement (region member order included), same states-explored and
-feasible-states counters, same seen-state sets -- under both transition
-policies, with and without pair weights, with and without restart/step
-caps, and across the shared-merge-cache coupling of a full
-``partition()`` run (searches later in a run read merged groups cached
-by earlier ones, so cache *contents* are part of the contract).
+feasible-states counters -- under both transition policies, with and
+without pair weights, with and without restart/step caps, and across
+the shared-merge-cache coupling of a full ``partition()`` run (searches
+later in a run read merged groups cached by earlier ones, so cache
+*contents* are part of the contract).  The engines code seen states
+differently (the reference keeps frozensets of member masks, the
+incremental engine one int per partition of the base slots), so the
+seen-state sets are compared only through the states they let each
+engine explore.
 
 ``REPRO_DIFF_DESIGNS`` scales the random-design sweep (default 12 for
 the tier-1 suite; the CI differential gate runs 200).
@@ -16,6 +20,7 @@ the tier-1 suite; the CI differential gate runs 200).
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -28,6 +33,8 @@ from repro.arch.tiles import quantised_footprint
 from repro.core.allocation import (
     AllocationOptions,
     _MergeCache,
+    _initial_groups,
+    _mergeable,
     search_candidate_set,
 )
 from repro.core.baselines import single_region_scheme
@@ -174,6 +181,41 @@ class TestSearchLevelDifferential:
                 design, capacity, "incremental", policy, alloc_kwargs=caps
             )
             assert ref == inc, f"design {k} caps {caps}"
+
+    @pytest.mark.parametrize("policy", list(TransitionPolicy))
+    def test_wide_candidate_set_identical(self, policy):
+        """Base-slot masks, list-position masks and state codes wider
+        than one machine word: >= 33 base groups and > 64 base-list
+        entries (one per compatible base pair)."""
+        rng = np.random.default_rng(5003)
+        design = generate_design(
+            rng, CIRCUIT_CLASSES[3 % len(CIRCUIT_CLASSES)], "wide",
+            GeneratorConfig(min_modules=8, max_modules=10, min_modes=4,
+                            max_modes=5),
+        )
+        cm = ConnectivityMatrix.from_design(design)
+        cps = next(
+            candidate_partition_sets(
+                enumerate_base_partitions(design, cm), cm, max_sets=1
+            )
+        )
+        base = _initial_groups(design, cps, _MergeCache())
+        compatible = sum(
+            _mergeable(a, b) for a, b in itertools.combinations(base, 2)
+        )
+        assert len(base) >= 33
+        assert compatible > 64
+        capacity = budget_for(design)
+        caps = {"max_initial_pairs": 8}
+        ref = search_fingerprint(
+            design, capacity, "reference", policy, alloc_kwargs=caps
+        )
+        inc = search_fingerprint(
+            design, capacity, "incremental", policy, alloc_kwargs=caps
+        )
+        assert ref == inc
+        # Some descents reach the budget, so the mode-flip path runs too.
+        assert any(feasible for *_, feasible in ref[:-1])
 
     def test_random_design_sweep(self):
         """The scaled version of the committed 200-design gate."""

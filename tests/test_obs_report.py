@@ -287,12 +287,20 @@ class TestBenchDiff:
                                                   "designs": 2}}
         with pytest.raises(BenchDiffError, match="records.designs"):
             bench_diff(old, fewer)
+        # The replay record states its fleet size as sweep_traces; a
+        # 6-trace smoke must not be read against the 1,056-trace record.
+        replay = {**_bench_doc(a=1.9), "records": {"sweep_traces": 1056}}
+        smoke = {**_bench_doc(a=0.1), "records": {"sweep_traces": 6}}
+        with pytest.raises(BenchDiffError, match="records.sweep_traces"):
+            bench_diff(replay, smoke)
         # Equal sizes, or a side that states none, still compare.
         same = {**_bench_doc(a=4.0), "records": {"config": "large",
                                                  "designs": 4}}
         assert bench_diff(old, same).deltas[0].ratio == pytest.approx(
             4.0 / 4.3)
         assert bench_diff(old, _bench_doc(a=4.0)).deltas
+        rerun = {**_bench_doc(a=2.0), "records": {"sweep_traces": 1056}}
+        assert bench_diff(replay, rerun).deltas
 
     def test_mean_falls_back_to_min(self):
         old = {"suite": "s", "benchmarks": [{"name": "a", "min": 1.0}]}
