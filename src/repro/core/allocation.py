@@ -13,8 +13,8 @@ Following the paper, the greedy descent is restarted once from every
 possible *initial* compatible pair ("assigns two compatible base
 partitions to the same region, which are distinct from those used to
 begin the previous iterations"), so a locally bad first merge cannot trap
-the search.  Restart count and step counts are configurable to keep large
-synthetic designs within the paper's seconds-to-a-minute runtime.
+the search.  The restart count is configurable to keep large synthetic
+designs within the paper's seconds-to-a-minute runtime.
 
 Two engines produce bit-identical results (see docs/PERFORMANCE.md):
 
@@ -43,31 +43,26 @@ Fig. 7-9 sweep runs it hundreds of thousands of times), so the internal
 of :class:`ResourceVector`, quantisation is inlined, each group carries
 its Eq. 10 cost under both policies, and a group is identified by one
 int member mask: merged groups are memoised under it, base groups under
-their label and activity, and a reference-engine search state is the
-frozenset of its groups' masks.  The public surface still speaks
-``ResourceVector``/:class:`PartitioningScheme`.
+their label and active-configuration mask, and a reference-engine search
+state is the frozenset of its groups' masks.  Without pair weights a
+group's switching pairs follow from two ints that add under merging
+(:func:`_switch_counts`), so unweighted groups carry no activity vector.
+The public surface still speaks ``ResourceVector``/:class:`PartitioningScheme`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Sequence
-
-import numpy as np
 
 from ..arch.resources import ResourceVector
 from ..obs import NULL_TRACER, Tracer
 from .clustering import BasePartition
 from .cost import DEFAULT_POLICY, TransitionPolicy
 from .covering import CandidatePartitionSet
-from .kernels import (
-    encode_activity,
-    merge_encoded,
-    switch_pair_counts_encoded,
-    weighted_switch_sums_encoded,
-)
+from .kernels import encode_activity, weighted_switch_sums_encoded
 from .model import PRDesign
 from .result import PartitioningScheme, Region
 
@@ -75,8 +70,8 @@ from .result import PartitioningScheme, Region
 _CLB_PER_TILE, _BRAM_PER_TILE, _DSP_PER_TILE = 20, 4, 8
 _CLB_FRAMES, _BRAM_FRAMES, _DSP_FRAMES = 36, 30, 28
 
-#: Below this many configurations the scalar pair loops beat the numpy
-#: kernels (array setup dominates).  The dispatch depends only on the
+#: Below this many configurations the scalar weighted pair loop beats the
+#: numpy kernel (array setup dominates).  The dispatch depends only on the
 #: design's configuration count, so every group of one search -- and both
 #: engines -- use the same implementation and produce identical floats.
 _VECTORIZE_MIN_CONFIGS = 12
@@ -99,24 +94,24 @@ def _quantise(req: Vec) -> tuple[Vec, int]:
 class _Group:
     """One (tentative) region during the search.
 
-    ``activity`` has one entry per configuration: the label of the member
-    partition serving that configuration, or ``None``.  ``usage`` is the
-    bitmask of configuration indices touching any member's modes -- two
-    groups may merge iff their usage masks are disjoint (the paper's
-    compatibility relation lifted to groups).  ``cost_strict`` and
-    ``cost_lenient`` are the group's contribution to Eq. 10 under each
-    policy, ``frames`` times its switch pairs (weighted when the search
-    carries pair weights; then a float, otherwise an integral count
-    times the frame footprint).  ``key`` is the member mask: the OR of
-    the members' label bits, which the owning :class:`_MergeCache`
-    assigns, so within one cache it names the member set.  ``ids`` is
-    the numpy-encoded activity vector (shared label codec, -1 for
-    ``None``) when the group was built inside a search; ``None``
-    otherwise.
+    ``usage`` is the bitmask of configuration indices touching any
+    member's modes -- two groups may merge iff their usage masks are
+    disjoint (the paper's compatibility relation lifted to groups).
+    ``active`` is the bitmask of configurations some member serves
+    (``active`` is a subset of ``usage``) and ``same`` the number of
+    configuration pairs served by the same member, the sum of C(count, 2)
+    over the members; both add when two compatible groups merge.
+    ``cost_strict`` and ``cost_lenient`` are the group's contribution to
+    Eq. 10 under each policy, ``frames`` times its switch pairs (weighted
+    when the search carries pair weights; then a float, otherwise an
+    integral count times the frame footprint).  ``key`` is the member
+    mask: the OR of the members' label bits, which the owning
+    :class:`_MergeCache` assigns, so within one cache it names the member
+    set.  ``activity`` is set only in weighted searches: one entry per
+    configuration, the label of the member serving it, or ``None``.
     """
 
     members: tuple[BasePartition, ...]
-    activity: tuple[str | None, ...]
     usage: int  # bitmask over configuration indices
     requirement: Vec
     frames: int
@@ -124,7 +119,9 @@ class _Group:
     cost_strict: float
     cost_lenient: float
     key: int  # bitmask over member labels (bits from the merge cache)
-    ids: "np.ndarray | None" = field(default=None, repr=False, compare=False)
+    active: int  # bitmask over configuration indices, subset of usage
+    same: int  # same-member configuration pairs
+    activity: tuple[str | None, ...] | None = None
 
     def cost(self, policy: TransitionPolicy) -> float:
         """This group's contribution to Eq. 10 under ``policy``."""
@@ -133,26 +130,17 @@ class _Group:
         return self.cost_lenient
 
 
-def _switch_pair_counts(activity: Sequence[str | None]) -> tuple[int, int]:
-    """(strict, lenient) pair counts for an activity vector.
+def _switch_counts(active: int, same: int, configs: int) -> tuple[int, int]:
+    """(strict, lenient) switch-pair counts of a group's count summary.
 
-    strict:  unordered pairs with differing entries (None is a value);
-    lenient: unordered pairs with differing entries, both non-None.
+    With ``k`` active configurations out of ``configs`` and ``same``
+    same-member pairs, lenient counts the active pairs served by
+    different members, C(k, 2) - same, and strict additionally every
+    active/idle pair: C(configs, 2) - same - C(configs - k, 2).
     """
-    counts: dict[str | None, int] = {}
-    for label in activity:
-        counts[label] = counts.get(label, 0) + 1
-    n = len(activity)
-
-    def c2(k: int) -> int:
-        return k * (k - 1) // 2
-
-    same = sum(c2(k) for k in counts.values())
-    strict = c2(n) - same
-    non_none = n - counts.get(None, 0)
-    same_non_none = sum(c2(k) for lbl, k in counts.items() if lbl is not None)
-    lenient = c2(non_none) - same_non_none
-    return strict, lenient
+    k = active.bit_count()
+    lenient = k * (k - 1) // 2 - same
+    return lenient + k * (configs - k), lenient
 
 
 def _weighted_switch_sums(
@@ -163,10 +151,16 @@ def _weighted_switch_sums(
     ``weights[i, j]`` is the importance of the (configuration i,
     configuration j) transition -- the paper's "statistical information
     about the probabilities of different configurations" extension.
-    O(C^2); only used when weights are supplied.
+    From :data:`_VECTORIZE_MIN_CONFIGS` configurations on, the numpy
+    kernel sums the terms; it reads the encoded labels only for equality
+    and sign, so any codec gives the same floats.  The dispatch depends
+    only on the activity's length, fixed for one search, so every group
+    and every pair-gain peek of a search sums in the same order.
     """
-    strict = lenient = 0.0
     n = len(activity)
+    if n >= _VECTORIZE_MIN_CONFIGS:
+        return weighted_switch_sums_encoded(encode_activity(activity, {}), weights)
+    strict = lenient = 0.0
     for i in range(n):
         ai = activity[i]
         for j in range(i + 1, n):
@@ -180,49 +174,41 @@ def _weighted_switch_sums(
     return strict, lenient
 
 
-def _switch_stats(
-    activity: Sequence[str | None], ids, weights
-) -> tuple[float, float]:
-    """(strict, lenient) switch stats with a size-based kernel dispatch.
+def _overlay(
+    a: Sequence[str | None], b: Sequence[str | None]
+) -> tuple[str | None, ...]:
+    """The activity of two merged groups (their entries are disjoint)."""
+    return tuple(x if x is not None else y for x, y in zip(a, b))
 
-    The choice depends only on the configuration count and the presence
-    of encoded ids, both fixed for one search, so every group -- and the
-    pair-gain peeks of :func:`_peek_gain` -- computes with the same
-    implementation and gets bit-identical values.
-    """
-    vectorize = ids is not None and len(activity) >= _VECTORIZE_MIN_CONFIGS
-    if weights is None:
-        if vectorize:
-            return switch_pair_counts_encoded(ids)
-        return _switch_pair_counts(activity)
-    if vectorize:
-        return weighted_switch_sums_encoded(ids, weights)
-    return _weighted_switch_sums(activity, weights)
+
+def _envelope(ra: Vec, rb: Vec) -> Vec:
+    """The requirement of a region holding both requirements' owners."""
+    return (
+        ra[0] if ra[0] >= rb[0] else rb[0],
+        ra[1] if ra[1] >= rb[1] else rb[1],
+        ra[2] if ra[2] >= rb[2] else rb[2],
+    )
 
 
 def _make_group(
+    cache: "_MergeCache",
     members: tuple[BasePartition, ...],
-    activity: tuple[str | None, ...],
+    requirement: Vec,
     usage: int,
     key: int,
-    weights=None,
-    ids=None,
+    active: int,
+    same: int,
+    activity: tuple[str | None, ...] | None = None,
 ) -> _Group:
-    rc = rb = rd = 0
-    for p in members:
-        r = p.resources
-        if r.clb > rc:
-            rc = r.clb
-        if r.bram > rb:
-            rb = r.bram
-        if r.dsp > rd:
-            rd = r.dsp
-    requirement = (rc, rb, rd)
+    """A group of ``members``; ``activity`` is given iff ``cache`` is
+    weighted."""
     footprint, frames = _quantise(requirement)
-    strict, lenient = _switch_stats(activity, ids, weights)
+    if activity is None:
+        strict, lenient = _switch_counts(active, same, cache.configs)
+    else:
+        strict, lenient = _weighted_switch_sums(activity, cache.weights)
     return _Group(
         members=members,
-        activity=activity,
         usage=usage,
         requirement=requirement,
         frames=frames,
@@ -230,7 +216,9 @@ def _make_group(
         cost_strict=frames * strict,
         cost_lenient=frames * lenient,
         key=key,
-        ids=ids,
+        active=active,
+        same=same,
+        activity=activity,
     )
 
 
@@ -238,32 +226,28 @@ def _initial_groups(
     design: PRDesign,
     cps: CandidatePartitionSet,
     cache: "_MergeCache",
-    weights=None,
-    encode: bool = False,
 ) -> list[_Group]:
     """Each candidate partition in its own region.
 
     Member masks come from ``cache``, the cache the groups will be
     merged in, which also memoises each base group under its label and
-    activity vector: the candidate sets of one design share most of
-    their partitions, and a group depends only on the partition and the
-    activity the set's cover gives it.  ``encode`` additionally encodes
-    every activity vector with the cache's label codec when the design
-    has enough configurations for :func:`_switch_stats` to read the
-    encoding; groups of one search must share one codec, so one cache
-    must always be given the same ``encode``.
+    active-configuration mask: the candidate sets of one design share
+    most of their partitions, and a group depends only on the partition
+    and the configurations the set's cover gives it.  Groups carry
+    activity vectors only when ``cache`` is weighted.
     """
     config_names = [c.name for c in design.configurations]
-    encode = encode and len(config_names) >= _VECTORIZE_MIN_CONFIGS
+    n = cache.configs = len(config_names)
     memo = cache.base_groups
     config_modes: list[frozenset[str]] | None = None
     groups: list[_Group] = []
     for bp in cps.partitions:
         label = bp.label
-        activity = tuple(
-            label if label in cps.cover[name] else None for name in config_names
-        )
-        group = memo.get((label, activity))
+        active = 0
+        for i, name in enumerate(config_names):
+            if label in cps.cover[name]:
+                active |= 1 << i
+        group = memo.get((label, active))
         if group is None:
             if config_modes is None:
                 config_modes = [frozenset(c.modes) for c in design.configurations]
@@ -271,10 +255,17 @@ def _initial_groups(
             for i, modes in enumerate(config_modes):
                 if bp.modes & modes:
                     usage |= 1 << i
-            ids = encode_activity(activity, cache.codec) if encode else None
-            key = cache.bit(label)
-            group = _make_group((bp,), activity, usage, key, weights, ids)
-            memo[(label, activity)] = group
+            activity = None
+            if cache.weights is not None:
+                activity = tuple(
+                    label if active >> i & 1 else None for i in range(n)
+                )
+            k = active.bit_count()
+            group = _make_group(
+                cache, (bp,), bp.resources.as_tuple(), usage,
+                cache.bit(label), active, k * (k - 1) // 2, activity,
+            )
+            memo[(label, active)] = group
         groups.append(group)
     return groups
 
@@ -283,13 +274,13 @@ class _MergeCache:
     """Memoises merged groups by member mask.
 
     ``codec`` is the cache's label table: it gives each label a dense
-    id, which the vectorized kernels encode activities with and
-    :meth:`bit` turns into the label's member-mask bit, so groups merged
-    in one cache must have been built with it.  Merged ids are derived
-    by overlaying the parents' encodings.  A cache is bound to one
-    pair-weight matrix (or none); mixing weighted and unweighted
-    searches requires separate caches.  ``base_groups`` holds the base
-    groups :func:`_initial_groups` built, keyed by (label, activity).
+    id, which :meth:`bit` turns into the label's member-mask bit, so
+    groups merged in one cache must have been built with it.  A cache is
+    bound to one design -- ``configs``, its configuration count, is set
+    by :func:`_initial_groups` -- and to one pair-weight matrix (or
+    none); mixing weighted and unweighted searches requires separate
+    caches.  ``base_groups`` holds the base groups
+    :func:`_initial_groups` built, keyed by (label, active mask).
     ``misses`` counts the merged groups built; ``hits`` counts the
     :meth:`merge` calls that found their group (the incremental engine
     reads most groups straight from ``_cache`` instead).  Both are
@@ -299,8 +290,9 @@ class _MergeCache:
 
     def __init__(self, weights=None) -> None:
         self._cache: dict[int, _Group] = {}
-        self.base_groups: dict[tuple[str, tuple[str | None, ...]], _Group] = {}
+        self.base_groups: dict[tuple[str, int], _Group] = {}
         self.weights = weights
+        self.configs = 0
         self.codec: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
@@ -314,19 +306,18 @@ class _MergeCache:
         merged = self._cache.get(key)
         if merged is None:
             self.misses += 1
-            activity = tuple(
-                x if x is not None else y for x, y in zip(a.activity, b.activity)
-            )
-            ids = None
-            if a.ids is not None and b.ids is not None:
-                ids = merge_encoded(a.ids, b.ids)
+            activity = None
+            if self.weights is not None:
+                activity = _overlay(a.activity, b.activity)
             merged = _make_group(
+                self,
                 a.members + b.members,
-                activity,
+                _envelope(a.requirement, b.requirement),
                 a.usage | b.usage,
                 key,
-                self.weights,
-                ids,
+                a.active | b.active,
+                a.same + b.same,
+                activity,
             )
             self._cache[key] = merged
         else:
@@ -390,8 +381,9 @@ def _peek_gain(
     candidate sets of one design may hold a group whose activity was
     derived under an earlier set's cover, and the reference engine
     scores with that entry.  Absent one, the merged values are derived
-    from the overlay directly, and nothing is added to the cache, so a
-    peek never changes which pairs are materialised.  The delta takes
+    from the parents' count summaries (or activity overlay, when
+    weighted) directly, and nothing is added to the cache, so a peek
+    never changes which pairs are materialised.  The delta takes
     the reference scan's operand order (``merged - a - b``), keeping
     weighted floats bit-identical.
     """
@@ -400,20 +392,15 @@ def _peek_gain(
         merged_cost = merged.cost_strict if strict else merged.cost_lenient
         footprint = merged.footprint
     else:
-        ra, rb = a.requirement, b.requirement
-        req = (
-            ra[0] if ra[0] >= rb[0] else rb[0],
-            ra[1] if ra[1] >= rb[1] else rb[1],
-            ra[2] if ra[2] >= rb[2] else rb[2],
-        )
-        footprint, frames = _quantise(req)
-        activity = tuple(
-            x if x is not None else y for x, y in zip(a.activity, b.activity)
-        )
-        ids = None
-        if a.ids is not None and b.ids is not None:
-            ids = merge_encoded(a.ids, b.ids)
-        sw_strict, sw_lenient = _switch_stats(activity, ids, cache.weights)
+        footprint, frames = _quantise(_envelope(a.requirement, b.requirement))
+        if cache.weights is None:
+            sw_strict, sw_lenient = _switch_counts(
+                a.active | b.active, a.same + b.same, cache.configs
+            )
+        else:
+            sw_strict, sw_lenient = _weighted_switch_sums(
+                _overlay(a.activity, b.activity), cache.weights
+            )
         merged_cost = frames * (sw_strict if strict else sw_lenient)
     if strict:
         delta = merged_cost - a.cost_strict - b.cost_strict
@@ -447,10 +434,11 @@ _ENGINES = ("incremental", "reference")
 class AllocationOptions:
     """Tuning knobs for the merge search.
 
-    Defaults follow the paper's exhaustive-restart description; the caps
-    exist so very large synthetic designs stay within the paper's
-    seconds-to-a-minute runtime envelope.  ``max_initial_pairs=None``
-    means every compatible pair seeds one descent.  ``engine`` selects
+    Defaults follow the paper's exhaustive-restart description; the
+    restart cap exists so very large synthetic designs stay within the
+    paper's seconds-to-a-minute runtime envelope.
+    ``max_initial_pairs=None`` means every compatible pair seeds one
+    descent.  ``engine`` selects
     the search implementation -- the heap-driven ``"incremental"``
     engine (default) is bit-identical to ``"reference"`` and 8.6-9.2x
     faster end to end on the four large bench designs of
@@ -459,7 +447,6 @@ class AllocationOptions:
 
     policy: TransitionPolicy = DEFAULT_POLICY
     max_initial_pairs: int | None = None
-    max_descent_steps: int | None = None
     #: Optional symmetric (C x C) transition-importance matrix in
     #: configuration declaration order; switches the objective from the
     #: all-pairs count (Eq. 7) to the probability-weighted variant the
@@ -470,8 +457,6 @@ class AllocationOptions:
     def __post_init__(self) -> None:
         if self.max_initial_pairs is not None and self.max_initial_pairs < 1:
             raise ValueError("max_initial_pairs must be positive or None")
-        if self.max_descent_steps is not None and self.max_descent_steps < 1:
-            raise ValueError("max_descent_steps must be positive or None")
         if self.engine not in _ENGINES:
             raise ValueError(
                 f"engine must be one of {_ENGINES}, got {self.engine!r}"
@@ -516,9 +501,7 @@ def search_candidate_set(
     cache = merge_cache or _MergeCache(options.pair_weights)
     cache_hits0, cache_misses0 = cache.hits, cache.misses
 
-    base = _initial_groups(
-        design, cps, cache, options.pair_weights, encode=True
-    )
+    base = _initial_groups(design, cps, cache)
     best_groups: list[_Group] | None = None
     best_cost: float | None = None
     states = 0
@@ -680,7 +663,7 @@ def _run_restarts_incremental(
 
     Pair *materialisation* is deliberately kept congruent with the
     reference scan: the entries for a state are only built after that
-    state passes the step-cap and seen-state gates -- exactly when the
+    state passes the seen-state gate -- exactly when the
     reference engine would rescan it -- and each one materialises its
     merged group in the shared cache.  Base pairs are the exception,
     since their gains were peeked: a pending list holds the ones not yet
@@ -694,7 +677,6 @@ def _run_restarts_incremental(
     """
     strict = options.policy is TransitionPolicy.STRICT
     cap_c, cap_b, cap_d = capacity
-    max_steps = options.max_descent_steps
     n = len(base)
     base_c = base_b = base_d = 0
     for g in base:
@@ -798,8 +780,6 @@ def _run_restarts_incremental(
 
         steps = 0
         code = merged_code(base_code, i, spreads[i], j, spreads[j])
-        # max_descent_steps is validated positive, so the reference's
-        # step-cap check never fires before the first step.
         if len(alive) > 1 and code not in seen_states:
             seen_states.add(code)
             if pending:
@@ -917,8 +897,6 @@ def _run_restarts_incremental(
                 steps += 1
                 if len(alive) <= 1:
                     break
-                if max_steps is not None and steps >= max_steps:
-                    break
                 root, gone = roots[slot_lo], roots[slot_hi]
                 code = merged_code(
                     code, root, spreads[slot_lo], gone, spreads[slot_hi]
@@ -981,8 +959,6 @@ def _greedy_descent(
     policy = options.policy
     steps = 0
     while len(groups) > 1:
-        if options.max_descent_steps is not None and steps >= options.max_descent_steps:
-            return steps
         state = frozenset(g.key for g in groups)
         if state in seen_states:
             return steps

@@ -83,7 +83,8 @@ def _canonical_options(options: "PartitionerOptions | None") -> dict[str, Any]:
         # A removed knob, pinned at its one value: keys stay byte-stable.
         "include_single_region": True,
         "max_initial_pairs": options.allocation.max_initial_pairs,
-        "max_descent_steps": options.allocation.max_descent_steps,
+        # A removed knob, pinned at its one value: keys stay byte-stable.
+        "max_descent_steps": None,
         "pair_probabilities": pairs,
     }
 

@@ -1,19 +1,20 @@
 """Vectorized cost kernels over integer-encoded activity vectors.
 
-The cost model (paper Eqs. 7-11) and the merge search both reduce to one
-primitive: given an *activity vector* -- "which partition label is active
-in each configuration" -- count (or weight) the configuration pairs whose
-entries differ.  Python-level pair loops dominate the profile once
-designs grow past a dozen configurations, so this module encodes
-activity vectors as small numpy int arrays (one id per label, ``-1`` for
-``None``) and evaluates the pair sums as bincount / broadcast
-operations.
+The cost model (paper Eqs. 7-11) and the weighted merge search reduce to
+one primitive: given an *activity vector* -- "which partition label is
+active in each configuration" -- count (or weight) the configuration
+pairs whose entries differ.  This module encodes activity vectors as
+small numpy int arrays (one id per label, ``-1`` for ``None``) and
+evaluates the pair sums as broadcast operations.  The kernels compare
+ids only for equality and sign, so any injective codec gives the same
+result.
 
-All unweighted kernels return exact ints, bit-identical to the scalar
-loops in :mod:`repro.core.allocation` and :mod:`repro.core.cost`; the
-weighted kernel sums the same terms but in numpy's reduction order,
-which is why callers must pick one implementation per search (see
-``_switch_stats`` in :mod:`repro.core.allocation`).
+:func:`pairwise_frames_matrix` returns exact ints.
+:func:`weighted_switch_sums_encoded` sums the scalar loop's terms in
+numpy's reduction order, so the search picks one implementation per
+design size (``_weighted_switch_sums`` in :mod:`repro.core.allocation`).
+The unweighted merge search needs no kernel: a group's pair counts
+follow from two ints (``_switch_counts``).
 """
 
 from __future__ import annotations
@@ -48,44 +49,15 @@ def encode_activity(
     return ids
 
 
-def merge_encoded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Overlay of two disjoint encoded activity vectors.
-
-    Mirrors the tuple overlay in ``_MergeCache.merge``: wherever ``a`` is
-    active its id wins, otherwise ``b``'s entry is taken.  For compatible
-    groups the non-``None`` positions are disjoint, so the overlay is
-    symmetric.
-    """
-    return np.where(a >= 0, a, b)
-
-
-def switch_pair_counts_encoded(ids: np.ndarray) -> tuple[int, int]:
-    """(strict, lenient) pair counts of one encoded activity vector.
-
-    Exact-int equivalent of ``_switch_pair_counts``: strict counts every
-    unordered pair with differing entries (``None`` is a value), lenient
-    additionally requires both entries non-``None``.
-    """
-    n = int(ids.size)
-    if n < 2:
-        return 0, 0
-    counts = np.bincount(ids + 1)  # slot 0 holds the None count
-    same = int((counts * (counts - 1) // 2).sum())
-    none = int(counts[0])
-    strict = n * (n - 1) // 2 - same
-    non_none = n - none
-    lenient = non_none * (non_none - 1) // 2 - (same - none * (none - 1) // 2)
-    return strict, lenient
-
-
 def weighted_switch_sums_encoded(
     ids: np.ndarray, weights: np.ndarray
 ) -> tuple[float, float]:
     """(strict, lenient) switch sums under a symmetric pair-weight matrix.
 
-    Same terms as ``_weighted_switch_sums`` summed in numpy's reduction
-    order (not guaranteed bit-identical to the python loop; callers must
-    use one implementation consistently within a search).
+    Same terms as the scalar loop of ``_weighted_switch_sums`` summed in
+    numpy's reduction order (not guaranteed bit-identical to the python
+    loop; callers must use one implementation consistently within a
+    search).
     """
     n = int(ids.size)
     if n < 2:

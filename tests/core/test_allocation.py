@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.resources import ResourceVector
 from repro.core.allocation import (
-    _VECTORIZE_MIN_CONFIGS,
     AllocationOptions,
     _merged_code,
     _MergeCache,
@@ -18,7 +18,7 @@ from repro.core.allocation import (
     _mergeable,
     _quantise,
     _state_code,
-    _switch_pair_counts,
+    _switch_counts,
     groups_to_scheme,
     search_candidate_set,
 )
@@ -40,15 +40,36 @@ def first_cps(design):
     return cover(enumerate_base_partitions(design, cm), cm)
 
 
+def brute_pair_counts(activity):
+    """(strict, lenient) switch pairs of an activity vector, by pairs."""
+    strict = lenient = 0
+    for a, b in itertools.combinations(activity, 2):
+        if a != b:
+            strict += 1
+            if a is not None and b is not None:
+                lenient += 1
+    return strict, lenient
+
+
+def count_summary(activity):
+    """(active mask, same-label pairs) of an activity vector."""
+    active = same = 0
+    counts: dict[str, int] = {}
+    for i, label in enumerate(activity):
+        if label is not None:
+            active |= 1 << i
+            same += counts.get(label, 0)
+            counts[label] = counts.get(label, 0) + 1
+    return active, same
+
+
+def summary_counts(activity):
+    return _switch_counts(*count_summary(activity), len(activity))
+
+
 class TestSwitchPairCounts:
-    def brute(self, activity):
-        strict = lenient = 0
-        for a, b in itertools.combinations(activity, 2):
-            if a != b:
-                strict += 1
-                if a is not None and b is not None:
-                    lenient += 1
-        return strict, lenient
+    """A group's count summary -- active mask and same-label pairs --
+    gives the pair counts of its activity vector."""
 
     @pytest.mark.parametrize(
         "activity",
@@ -63,7 +84,42 @@ class TestSwitchPairCounts:
         ],
     )
     def test_matches_brute_force(self, activity):
-        assert _switch_pair_counts(activity) == self.brute(activity)
+        assert summary_counts(activity) == brute_pair_counts(activity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([None, "a", "b", "c", "d"]), max_size=24))
+    def test_random_activity_matches_brute_force(self, activity):
+        strict, lenient = summary_counts(activity)
+        assert (strict, lenient) == brute_pair_counts(activity)
+        assert type(strict) is int and type(lenient) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 24).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-1, 3), min_size=n, max_size=n),
+                st.lists(st.sampled_from("abcd"), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_overlay_of_disjoint_groups_adds(self, case):
+        """Group ``g`` serves the configurations ``owner`` gives it with
+        its own labels (-1: idle); the overlay's counts follow from the
+        OR of the groups' active masks and the sum of their same-label
+        pairs."""
+        owner, labels = case
+        overlay = [f"{g}{x}" if g >= 0 else None for g, x in zip(owner, labels)]
+        active = same = 0
+        for g in range(4):
+            a, s = count_summary(
+                [x if o == g else None for o, x in zip(owner, overlay)]
+            )
+            assert not active & a
+            active |= a
+            same += s
+        assert _switch_counts(active, same, len(owner)) == brute_pair_counts(
+            overlay
+        )
 
 
 class TestQuantise:
@@ -88,8 +144,11 @@ class TestInitialGroups:
         groups = _initial_groups(paper_example, cps, _MergeCache())
         names = [c.name for c in paper_example.configurations]
         for bp, group in zip(cps.partitions, groups):
-            for cname, active in zip(names, group.activity):
-                assert (active == bp.label) == (bp.label in cps.cover[cname])
+            for i, cname in enumerate(names):
+                active = bool(group.active >> i & 1)
+                assert active == (bp.label in cps.cover[cname])
+            k = group.active.bit_count()
+            assert group.same == k * (k - 1) // 2
 
     def test_usage_mask(self, paper_example):
         cps = first_cps(paper_example)
@@ -108,20 +167,28 @@ class TestInitialGroups:
     def test_base_groups_memoised_per_cache(self, paper_example):
         cps = first_cps(paper_example)
         cache = _MergeCache()
-        first = _initial_groups(paper_example, cps, cache, encode=True)
-        again = _initial_groups(paper_example, cps, cache, encode=True)
+        first = _initial_groups(paper_example, cps, cache)
+        again = _initial_groups(paper_example, cps, cache)
         assert all(a is b for a, b in zip(first, again))
         assert len(cache.base_groups) == len(first)
-        fresh = _initial_groups(paper_example, cps, _MergeCache(), encode=True)
+        fresh = _initial_groups(paper_example, cps, _MergeCache())
         assert [(g.key, g.cost_strict, g.cost_lenient) for g in fresh] == [
             (g.key, g.cost_strict, g.cost_lenient) for g in first
         ]
 
-    def test_encoded_only_where_the_kernels_read_it(self, paper_example):
+    def test_activity_only_in_weighted_searches(self, paper_example):
         cps = first_cps(paper_example)
-        assert len(paper_example.configurations) < _VECTORIZE_MIN_CONFIGS
-        groups = _initial_groups(paper_example, cps, _MergeCache(), encode=True)
-        assert all(g.ids is None for g in groups)
+        plain = _initial_groups(paper_example, cps, _MergeCache())
+        assert all(g.activity is None for g in plain)
+        n = len(paper_example.configurations)
+        weighted = _initial_groups(
+            paper_example, cps, _MergeCache(np.ones((n, n)))
+        )
+        for g in weighted:
+            label = g.members[0].label
+            assert g.activity == tuple(
+                label if g.active >> i & 1 else None for i in range(n)
+            )
 
 
 def partition_of(roots):
@@ -233,9 +300,10 @@ class TestMergeCache:
             if _mergeable(x, y)
         )
         merged = cache.merge(a, b)
-        for x, y, z in zip(a.activity, b.activity, merged.activity):
-            assert z == (x if x is not None else y)
+        assert merged.active == a.active | b.active
+        assert merged.same == a.same + b.same
         assert merged.usage == a.usage | b.usage
+        assert merged.activity is None
 
     def test_merged_frames_is_envelope_quantised(self, paper_example):
         cps = first_cps(paper_example)
@@ -297,6 +365,15 @@ class TestSearch:
         capacity = ResourceVector(340, 0, 0)
         cache = _MergeCache()
         groups = _initial_groups(tiny_design, cps, cache)
+        names = [c.name for c in tiny_design.configurations]
+
+        def cover_activity(group):
+            """The member serving each configuration, from the cover."""
+            labels = [p.label for p in group.members]
+            return [
+                next((lbl for lbl in labels if lbl in cps.cover[n]), None)
+                for n in names
+            ]
 
         best = None
 
@@ -331,7 +408,8 @@ class TestSearch:
             if usage[0] > capacity.clb:
                 continue
             cost = sum(
-                g.frames * _switch_pair_counts(g.activity)[1] for g in merged
+                g.frames * brute_pair_counts(cover_activity(g))[1]
+                for g in merged
             )
             if best is None or cost < best:
                 best = cost
@@ -368,8 +446,6 @@ class TestSearch:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             AllocationOptions(max_initial_pairs=0)
-        with pytest.raises(ValueError):
-            AllocationOptions(max_descent_steps=0)
 
     def test_engine_validation(self):
         with pytest.raises(ValueError):

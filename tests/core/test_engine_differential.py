@@ -1,11 +1,12 @@
 """Differential gate: incremental engine bit-identical to the reference.
 
-The ``"incremental"`` engine (heap-driven pair selection, memoised pair
-stats, vectorized switch kernels) must reproduce the ``"reference"``
-engine bit-for-bit: same best cost (exact float equality), same winning
-arrangement (region member order included), same states-explored and
-feasible-states counters -- under both transition policies, with and
-without pair weights, with and without restart/step caps, and across
+The ``"incremental"`` engine (heap-driven pair selection, peeked pair
+stats) must reproduce the ``"reference"`` engine bit-for-bit: same best
+cost (exact float equality), same winning arrangement (region member
+order included), same states-explored and feasible-states counters --
+under both transition policies, with and without pair weights (on
+designs below and above the weighted kernel's 12-configuration
+threshold), with and without a restart cap, and across
 the shared-merge-cache coupling of a full ``partition()`` run (searches
 later in a run read merged groups cached by earlier ones, so cache
 *contents* are part of the contract).  The engines code seen states
@@ -14,7 +15,7 @@ incremental engine one int per partition of the base slots), so the
 seen-state sets are compared only through the states they let each
 engine explore.
 
-``REPRO_DIFF_DESIGNS`` scales the random-design sweep (default 12 for
+``REPRO_DIFF_DESIGNS`` scales the random-design sweeps (default 12 for
 the tier-1 suite; the CI differential gate runs 200).
 """
 
@@ -47,6 +48,8 @@ from repro.eval.casestudy import CASESTUDY_BUDGET, casestudy_design
 from repro.obs import RecordingTracer
 from repro.synth.generator import GeneratorConfig, generate_design
 from repro.synth.profiles import CIRCUIT_CLASSES, CircuitClass
+
+from .test_wide_golden import WIDE
 
 DIFF_DESIGNS = int(os.environ.get("REPRO_DIFF_DESIGNS", "12"))
 
@@ -160,11 +163,7 @@ class TestSearchLevelDifferential:
     @pytest.mark.parametrize("policy", list(TransitionPolicy))
     @pytest.mark.parametrize(
         "caps",
-        [
-            {"max_initial_pairs": 1},
-            {"max_initial_pairs": 3, "max_descent_steps": 2},
-            {"max_descent_steps": 1},
-        ],
+        [{"max_initial_pairs": 1}, {"max_initial_pairs": 3}],
     )
     def test_capped_options_identical(self, policy, caps):
         for k in range(6):
@@ -232,6 +231,31 @@ class TestSearchLevelDifferential:
                     design, capacity, "incremental", policy
                 )
                 assert ref == inc, f"design {k} policy {policy}"
+
+    def test_wide_design_sweep(self):
+        """Designs with >= 12 configurations, where weighted switch sums
+        come from the numpy kernel; every other design is weighted."""
+        seed = 7000
+        for k in range(DIFF_DESIGNS):
+            while True:
+                seed += 1
+                design = generate_design(
+                    np.random.default_rng(seed),
+                    CIRCUIT_CLASSES[seed % len(CIRCUIT_CLASSES)],
+                    f"wide{seed}", WIDE,
+                )
+                if len(design.configurations) >= 12:
+                    break
+            capacity = budget_for(design, scale=2.0)
+            weights = weight_matrix(design, seed) if k % 2 else None
+            for policy in TransitionPolicy:
+                ref = search_fingerprint(
+                    design, capacity, "reference", policy, weights
+                )
+                inc = search_fingerprint(
+                    design, capacity, "incremental", policy, weights
+                )
+                assert ref == inc, f"seed {seed} policy {policy}"
 
 
 class TestPartitionLevelDifferential:

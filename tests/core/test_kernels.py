@@ -7,20 +7,37 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.allocation import _switch_pair_counts, _weighted_switch_sums
+from repro.core.allocation import (
+    _VECTORIZE_MIN_CONFIGS,
+    _overlay,
+    _switch_counts,
+    _weighted_switch_sums,
+)
 from repro.core.kernels import (
     NONE_ID,
     encode_activity,
-    merge_encoded,
     pairwise_frames_matrix,
-    switch_pair_counts_encoded,
     weighted_switch_sums_encoded,
 )
+
+from .test_allocation import count_summary
 
 
 def _random_activity(rng, n, labels=("a", "b", "c", "d")):
     pool = list(labels) + [None]
     return tuple(pool[rng.integers(len(pool))] for _ in range(n))
+
+
+def _scalar_weighted_sums(activity, weights):
+    """(strict, lenient) weighted switch sums, one pair at a time."""
+    strict = lenient = 0.0
+    for i, j in itertools.combinations(range(len(activity)), 2):
+        a, b = activity[i], activity[j]
+        if a != b:
+            strict += float(weights[i, j])
+            if a is not None and b is not None:
+                lenient += float(weights[i, j])
+    return strict, lenient
 
 
 class TestEncodeActivity:
@@ -45,35 +62,39 @@ class TestEncodeActivity:
 
 
 class TestMergeEncoded:
+    """The weighted search encodes merged groups' activity overlays."""
+
     def test_overlay_prefers_active_side(self):
         codec: dict[str, int] = {}
-        a = encode_activity(("x", None, None, "y"), codec)
-        b = encode_activity((None, "z", None, None), codec)
-        merged = merge_encoded(a, b)
-        assert merged.tolist() == [codec["x"], codec["z"], NONE_ID, codec["y"]]
+        merged = _overlay(("x", None, None, "y"), (None, "z", None, None))
+        ids = encode_activity(merged, codec)
+        assert ids.tolist() == [codec["x"], codec["z"], NONE_ID, codec["y"]]
 
     def test_symmetric_for_disjoint_vectors(self):
-        codec: dict[str, int] = {}
-        a = encode_activity(("x", None), codec)
-        b = encode_activity((None, "y"), codec)
-        assert (merge_encoded(a, b) == merge_encoded(b, a)).all()
+        a, b = ("x", None), (None, "y")
+        assert _overlay(a, b) == _overlay(b, a) == ("x", "y")
 
 
 class TestSwitchPairCounts:
+    """Under unit pair weights the weighted kernel counts switching
+    pairs, which the unweighted search takes from a group's count
+    summary instead."""
+
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_scalar_reference(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 20))
         activity = _random_activity(rng, n)
-        codec: dict[str, int] = {}
-        ids = encode_activity(activity, codec)
-        assert switch_pair_counts_encoded(ids) == _switch_pair_counts(activity)
+        ids = encode_activity(activity, {})
+        counts = _switch_counts(*count_summary(activity), n)
+        assert weighted_switch_sums_encoded(ids, np.ones((n, n))) == counts
+        assert _scalar_weighted_sums(activity, np.ones((n, n))) == counts
 
     def test_exact_ints(self):
-        codec: dict[str, int] = {}
-        ids = encode_activity(("a", "b", None, "a", None, "c"), codec)
-        strict, lenient = switch_pair_counts_encoded(ids)
-        assert isinstance(strict, int) and isinstance(lenient, int)
+        activity = ("a", "b", None, "a", None, "c")
+        strict, lenient = _switch_counts(*count_summary(activity), 6)
+        assert (strict, lenient) == (13, 5)
+        assert type(strict) is int and type(lenient) is int
 
 
 class TestWeightedSwitchSums:
@@ -87,9 +108,24 @@ class TestWeightedSwitchSums:
         codec: dict[str, int] = {}
         ids = encode_activity(activity, codec)
         vec = weighted_switch_sums_encoded(ids, W)
-        ref = _weighted_switch_sums(activity, W)
+        ref = _scalar_weighted_sums(activity, W)
         assert vec[0] == pytest.approx(ref[0], rel=1e-12)
         assert vec[1] == pytest.approx(ref[1], rel=1e-12)
+        # The search's helper takes the kernel from 12 configurations on
+        # and the scalar loop below, each exactly.
+        expected = vec if n >= _VECTORIZE_MIN_CONFIGS else ref
+        assert _weighted_switch_sums(activity, W) == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_codec_does_not_change_the_floats(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        activity = _random_activity(rng, 16, labels="abcdefg")
+        W = rng.random((16, 16))
+        W = W + W.T
+        first = weighted_switch_sums_encoded(encode_activity(activity, {}), W)
+        codec = {label: 40 - k for k, label in enumerate("gfedcba")}
+        other = weighted_switch_sums_encoded(encode_activity(activity, codec), W)
+        assert first == other
 
     def test_empty_vector(self):
         assert weighted_switch_sums_encoded(
