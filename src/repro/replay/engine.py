@@ -46,6 +46,9 @@ REPLAY_ENGINES = ("auto", "reference")
 #: so stale cached records miss instead of aliasing.
 REPLAY_VERSION = 1
 
+#: Placeholder for the trace key in a serialised result-key payload.
+_SPLICE = "\0"
+
 #: Latency bucket bounds tuned to ICAP switch times (tens of us to
 #: hundreds of ms); the embedded quantile summary supplies the accurate
 #: percentiles, buckets shape the dashboard's bucketed view.
@@ -144,18 +147,38 @@ def replay_result_key(
     problem_key: str, trace_key: str, policy: PolicySpec | str | Mapping
 ) -> str:
     """Content address of one replay: (problem, trace, policy, version)."""
-    payload = json.dumps(
+    return replay_result_keys(problem_key, [trace_key], policy)[0]
+
+
+def replay_result_keys(
+    problem_key: str,
+    trace_keys: Iterable[str],
+    policy: PolicySpec | str | Mapping,
+) -> list[str]:
+    """:func:`replay_result_key` of each trace key, in order.
+
+    A batch job's member payloads differ only in their trace key, so the
+    rest -- the policy included -- is serialised once and each trace key
+    is spliced in where the sorted payload holds it (only the integer
+    ``version`` follows it).
+    """
+    head, tail = json.dumps(
         {
             "format": "repro-replay",
             "version": REPLAY_VERSION,
             "problem": problem_key,
-            "trace": trace_key,
+            "trace": _SPLICE,
             "policy": resolve_policy(policy).to_dict(),
         },
         sort_keys=True,
         separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    ).rsplit(json.dumps(_SPLICE), 1)
+    return [
+        hashlib.sha256(
+            (head + json.dumps(tk) + tail).encode("utf-8")
+        ).hexdigest()
+        for tk in trace_keys
+    ]
 
 
 def replay_batch_key(

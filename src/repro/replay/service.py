@@ -58,7 +58,7 @@ from .engine import (
     ReplayResult,
     replay_batch_key,
     replay_record,
-    replay_result_key,
+    replay_result_keys,
     replay_trace,
 )
 from .policies import PolicySpec, resolve_policy
@@ -110,7 +110,7 @@ def replay_keys(
     names = config_names(design)
     specs, policy = _replay_batch_docs(job.replay)
     tkeys = [trace_key(names, spec) for spec in specs]
-    members = [replay_result_key(partition_key, tk, policy) for tk in tkeys]
+    members = replay_result_keys(partition_key, tkeys, policy)
     return replay_batch_key(partition_key, tkeys, policy), members
 
 
@@ -171,7 +171,7 @@ def run_replay_batch_payload(
 
     scheme = result.scheme
     names = config_names(scheme.design)
-    records: dict[str, dict[str, Any]] = {}
+    records: list[dict[str, Any]] = []
     tkeys: list[str] = []
     summary: dict[str, Any] | None = None
     with tracer.span("replay_batch", policy=policy.name, traces=len(specs)):
@@ -187,10 +187,11 @@ def run_replay_batch_payload(
                 trace_key=tk,
                 tracer=tracer,
             )
-            key = replay_result_key(partition_key, tk, policy)
-            records[key] = replay_record(replayed)
+            records.append(replay_record(replayed))
             summary = _fold_summary(summary, replayed)
-    store.put_many(records)
+    store.put_many(
+        dict(zip(replay_result_keys(partition_key, tkeys, policy), records))
+    )
     assert summary is not None  # specs is validated non-empty
     return {
         "job_id": payload["job_id"],

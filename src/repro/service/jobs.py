@@ -1,10 +1,14 @@
 """Crash-safe job store: an append-only JSON-lines state log.
 
-A queue directory holds one ``jobs.jsonl`` file.  Every state change
-appends the *full* job record as one JSON line, so the store is a
-replayable event log: loading folds the lines left to right and the
-last record per job id wins.  That makes persistence crash-safe by
-construction --
+A queue directory holds one ``jobs.jsonl`` file.  ``submit`` appends
+the job's *full* record once; every later state change appends a small
+*transition record* naming the job by id and carrying only the state
+fields that changed plus ``updated_at``.  Loading folds the lines left
+to right: a full record (any line with a ``design_xml`` field) sets a
+job, a transition record updates the job it names.  Logs written
+before transition records existed hold only full records and load
+unchanged; a checkout that predates transition records cannot read a
+log this version writes.  Persistence is crash-safe by construction --
 
 * a crash mid-append leaves at most one truncated *final* line, which
   loading truncates away (the previous record for that job still
@@ -13,7 +17,8 @@ construction --
   ``pending`` on the next open (:meth:`JobStore.recover`), so an
   interrupted queue resumes exactly where it stopped;
 * malformed *non-final* lines mean real corruption and raise
-  :class:`JobStoreError`.
+  :class:`JobStoreError`, as does a transition record that names a job
+  no earlier line submitted or that changes a spec field.
 
 States: ``pending -> running -> done | failed``; a failing job returns
 to ``pending`` until its attempt count reaches ``max_attempts``.
@@ -24,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -46,6 +51,13 @@ JOB_KINDS = ("partition", "replay-batch")
 DEFAULT_MAX_ATTEMPTS = 2
 
 JOBS_FILENAME = "jobs.jsonl"
+
+#: The fields a transition may change -- all a transition record carries
+#: besides the job id.
+STATE_FIELDS = frozenset(
+    {"state", "attempts", "error", "result_key", "cache_hit", "compute_s",
+     "updated_at"}
+)
 
 
 class JobStoreError(ValueError):
@@ -162,6 +174,21 @@ def _batch_of_one(raw: Mapping) -> dict:
     }
 
 
+def _evolve(job: Job, changes: Mapping) -> Job:
+    """``job`` with state fields changed, its spec taken as already valid.
+
+    ``dataclasses.replace`` would re-run :meth:`Job.__post_init__` and
+    re-check every trace mapping of a replay spec; a transition only
+    changes state fields, so only the new state is checked.
+    """
+    state = changes.get("state", job.state)
+    if state not in JOB_STATES:
+        raise JobStoreError(f"unknown job state {state!r}")
+    new = object.__new__(Job)
+    new.__dict__.update(vars(job), **changes)
+    return new
+
+
 class JobStore:
     """The JSON-lines job store for one queue directory."""
 
@@ -198,10 +225,12 @@ class JobStore:
         except JsonlError as exc:
             raise JobStoreError(f"corrupt job record: {exc}") from exc
         for i, raw in enumerate(records):
+            where = f"{self.path}:{i + 1}"
             if not isinstance(raw, Mapping):
-                raise JobStoreError(
-                    f"{self.path}:{i + 1}: job record must be an object"
-                )
+                raise JobStoreError(f"{where}: job record must be an object")
+            if "design_xml" not in raw:
+                self._remember(self._fold(where, raw))
+                continue
             if raw.get("kind") == "replay" and isinstance(
                 raw.get("replay"), Mapping
             ):
@@ -209,10 +238,23 @@ class JobStore:
             try:
                 job = Job(**{k: v for k, v in raw.items() if k in known})
             except (TypeError, JobStoreError) as exc:
-                raise JobStoreError(
-                    f"{self.path}:{i + 1}: invalid job record: {exc}"
-                ) from exc
+                raise JobStoreError(f"{where}: invalid job record: {exc}") from exc
             self._remember(job)
+
+    def _fold(self, where: str, raw: Mapping) -> Job:
+        """The job a transition record names, with its changes applied."""
+        job = self._jobs.get(raw.get("id"))
+        if job is None:
+            raise JobStoreError(
+                f"{where}: transition record names unknown job {raw.get('id')!r}"
+            )
+        changes = {k: v for k, v in raw.items() if k != "id"}
+        if not changes.keys() <= STATE_FIELDS:
+            raise JobStoreError(
+                f"{where}: transition record changes non-state fields "
+                f"{sorted(changes.keys() - STATE_FIELDS)}"
+            )
+        return _evolve(job, changes)
 
     def _remember(self, job: Job) -> None:
         if job.id not in self._jobs:
@@ -221,13 +263,10 @@ class JobStore:
                 self._by_digest.setdefault(job.spec_digest, []).append(job.id)
         self._jobs[job.id] = job
 
-    def _append(self, job: Job) -> Job:
-        job = replace(job, updated_at=time.time())
+    def _append(self, record: Mapping) -> None:
         with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(asdict(job), sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
-        self._remember(job)
-        return job
 
     # ------------------------------------------------------------------
     # submission
@@ -260,6 +299,7 @@ class JobStore:
                 existing = self._jobs[jid]
                 if existing.state != "failed":
                     return existing
+        now = time.time()
         job = Job(
             id=f"job-{len(self._order):05d}-{digest[:8]}",
             name=name,
@@ -272,9 +312,12 @@ class JobStore:
             priority=priority,
             submitter=submitter,
             max_attempts=max_attempts,
-            submitted_at=time.time(),
+            submitted_at=now,
+            updated_at=now,
         )
-        return self._append(job)
+        self._append(vars(job))
+        self._remember(job)
+        return job
 
     def submit_design(
         self,
@@ -341,7 +384,11 @@ class JobStore:
                 f"job {job_id} is {job.state!r}, expected one of "
                 f"{sorted(allowed)}"
             )
-        return self._append(replace(job, **changes))
+        changes["updated_at"] = time.time()
+        job = _evolve(job, changes)
+        self._append({"id": job_id, **changes})
+        self._jobs[job_id] = job
+        return job
 
     def mark_running(self, job_id: str) -> Job:
         """Claim a pending job; consumes one attempt."""

@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.service.jobs import (
     DEFAULT_MAX_ATTEMPTS,
     JOB_STATES,
+    STATE_FIELDS,
     Job,
     JobStore,
     JobStoreError,
 )
+
+#: A queue log written by the store before transition records existed:
+#: every line is a full job record.
+FULL_RECORD_LOG = Path(__file__).parent / "data" / "jobs_full_records.jsonl"
 
 
 @pytest.fixture
@@ -319,6 +326,113 @@ class TestLegacyLogs:
         # The legacy job's spec digest still joins the dedupe index.
         dup = again.submit(name="dup", design_xml="<x/>", device="LX30")
         assert dup.id != "job-00000-aabbccdd"  # digest differs: real spec
+
+
+class TestTransitionRecords:
+    """Full record at submit, by-id transition records afterwards."""
+
+    @staticmethod
+    def lines(store):
+        return [json.loads(line) for line in
+                store.path.read_text(encoding="utf-8").splitlines()]
+
+    def test_transitions_log_only_the_changed_state(self, store):
+        job = submit_one(store)
+        store.mark_running(job.id)
+        store.mark_failed(job.id, "boom")
+        store.mark_running(job.id)
+        store.mark_done(job.id, "k" * 64, compute_s=0.25)
+        first, *transitions = self.lines(store)
+        assert first["design_xml"] == "<x/>" and first["id"] == job.id
+        assert [set(t) - {"id", "updated_at"} for t in transitions] == [
+            {"state", "attempts"},
+            {"state", "error"},
+            {"state", "attempts"},
+            {"state", "result_key", "cache_hit", "compute_s", "error"},
+        ]
+        assert all(t["id"] == job.id for t in transitions)
+        assert all(set(t) <= STATE_FIELDS | {"id"} for t in transitions)
+        assert JobStore(store.directory).get(job.id) == store.get(job.id)
+
+    def test_spec_is_logged_once(self, store):
+        replay = {
+            "traces": [{"environment": "bursty", "length": 64, "seed": i}
+                       for i in range(96)],
+            "policy": {"name": "no-prefetch"},
+        }
+        spec_bytes = len(json.dumps(replay))
+        job = store.submit(name="r", design_xml="<r/>", kind="replay-batch",
+                           replay=replay)
+        store.mark_running(job.id)
+        store.mark_failed(job.id, "boom")
+        store.mark_done(job.id, "k" * 64, cache_hit=True)
+        assert store.path.stat().st_size < 2 * spec_bytes
+
+    def test_full_record_log_loads_and_resumes(self, tmp_path):
+        queue = tmp_path / "queue"
+        queue.mkdir()
+        shutil.copy(FULL_RECORD_LOG, queue / "jobs.jsonl")
+        store = JobStore.open(queue)
+        a, b, c, d, e = store.jobs()
+        assert (a.state, a.attempts, a.result_key) == ("done", 1, "a" * 64)
+        # b was logged running: recovery re-queues it, attempt counted.
+        assert (b.state, b.attempts, b.error) == ("pending", 2, "boom")
+        assert (b.priority, b.submitter) == (2, "alice")
+        assert (c.state, c.cache_hit, len(c.replay["traces"])) == (
+            "done", True, 2)
+        assert (d.state, d.attempts) == ("pending", 0)
+        assert (e.state, e.attempts, e.error) == ("failed", 2, "boom-2")
+        assert [j.id for j in store.pending()] == [b.id, d.id]
+        # Resubmitting a logged spec dedupes onto the logged job.
+        assert store.submit(name="a", design_xml="<a/>", device="LX30") == a
+        for job in store.pending():
+            store.mark_running(job.id)
+            store.mark_done(job.id, job.name * 64)
+        resumed = JobStore.open(queue)
+        assert resumed.counts() == {
+            "pending": 0, "running": 0, "done": 4, "failed": 1}
+        assert resumed.jobs() == store.jobs()
+
+    def test_full_records_then_transition_records(self, tmp_path):
+        queue = tmp_path / "queue"
+        queue.mkdir()
+        shutil.copy(FULL_RECORD_LOG, queue / "jobs.jsonl")
+        store = JobStore.open(queue)  # logs b's recovery by id
+        fresh = submit_one(store, xml="<f/>")
+        store.mark_running(fresh.id)
+        store.mark_running(store.jobs()[1].id)
+        lines = self.lines(store)
+        old = len(FULL_RECORD_LOG.read_text(encoding="utf-8").splitlines())
+        assert all("design_xml" in line for line in lines[:old])
+        assert ["design_xml" in line for line in lines[old:]] == [
+            False, True, False, False]
+        reloaded = JobStore(queue)
+        assert reloaded.jobs() == store.jobs()
+        assert [j.state for j in reloaded.jobs()] == [
+            "done", "running", "done", "pending", "failed", "running"]
+
+    def test_interior_record_naming_unknown_job_raises(self, store):
+        job = submit_one(store)
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "job-99999-deadbeef",
+                                 "state": "running"}) + "\n")
+        store.mark_running(job.id)
+        with pytest.raises(JobStoreError, match="unknown job"):
+            JobStore(store.directory)
+
+    def test_transition_record_cannot_change_the_spec(self, store):
+        job = submit_one(store)
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": job.id, "device": "LX50"}) + "\n")
+        with pytest.raises(JobStoreError, match="non-state fields"):
+            JobStore(store.directory)
+
+    def test_transition_record_with_unknown_state_raises(self, store):
+        job = submit_one(store)
+        with store.path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": job.id, "state": "exploded"}) + "\n")
+        with pytest.raises(JobStoreError, match="unknown job state"):
+            JobStore(store.directory)
 
 
 class TestDedupeIndex:

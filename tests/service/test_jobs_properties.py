@@ -137,18 +137,25 @@ def test_truncation_at_every_offset_of_the_final_record(
 
 
 def _fold(lines: list[str]) -> list[tuple]:
-    """Replay records the way JobStore._load does, as a plain fold."""
+    """Replay records the way JobStore._load does, as a plain fold.
+
+    A line with a ``design_xml`` field is a full record and sets its
+    job; any other line is a transition record and overlays its fields
+    on the last state of the job it names.
+    """
     from dataclasses import fields
 
     known = {f.name for f in fields(Job)}
-    jobs: dict[str, Job] = {}
+    jobs: dict[str, dict] = {}
     order: list[str] = []
     for line in lines:
         raw = json.loads(line)
-        job = Job(**{k: v for k, v in raw.items() if k in known})
-        if job.id not in jobs:
-            order.append(job.id)
-        jobs[job.id] = job
+        if "design_xml" in raw:
+            if raw["id"] not in jobs:
+                order.append(raw["id"])
+            jobs[raw["id"]] = {k: v for k, v in raw.items() if k in known}
+        else:
+            jobs[raw["id"]] = {**jobs[raw["id"]], **raw}
     return [
         (
             j.id,
@@ -159,5 +166,5 @@ def _fold(lines: list[str]) -> list[tuple]:
             j.priority,
             j.submitter,
         )
-        for j in (jobs[i] for i in order)
+        for j in (Job(**jobs[i]) for i in order)
     ]
