@@ -53,7 +53,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "resolve_policy",
         ),
         "service": (
-            "replay_probe_keys", "replay_store_for", "replay_summary",
+            "replay_probe_keys", "replay_store_for",
             "run_replay_batch_payload", "submit_replay_suite",
         ),
         "store": ("ReplayResultStore",),

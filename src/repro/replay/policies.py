@@ -25,7 +25,7 @@ it can live inside job payloads and cache keys:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..core.result import PartitioningScheme
 from ..runtime.icap import PRESETS, IcapModel
@@ -169,6 +169,65 @@ def default_store_capacity(scheme: PartitioningScheme) -> int:
     return max(total // 2, largest, 1)
 
 
+#: ``scheme._cost_cache`` slot prefix of the scheme's store layouts.
+_LAYOUT_SLOT = "store_layout"
+
+
+class StoreLayout:
+    """What every :class:`BitstreamStore` over one scheme reads, built once.
+
+    One layout per (scheme, fast/slow ICAP pair), cached on the
+    scheme's ``_cost_cache`` next to the replay kernel's tables, so the
+    stores of the many traces replayed over a scheme share one build:
+
+    * ``bitstreams`` -- ``(region, label) -> (frames, fast_s, slow_s)``,
+      each partial's frame span and its stream seconds through the fast
+      and the slow controller (:class:`IcapModel` is a pure function of
+      the frame count);
+    * ``pin_order`` -- every bitstream by descending scheme activity
+      count, then name: the order a ``static`` store pins from;
+    * ``default_capacity`` -- :func:`default_store_capacity`.
+    """
+
+    __slots__ = ("bitstreams", "pin_order", "default_capacity")
+
+    def __init__(
+        self, scheme: PartitioningScheme, fast: IcapModel, slow: IcapModel
+    ):
+        self.bitstreams: dict[tuple[str, str], tuple[int, float, float]] = {}
+        for region in scheme.regions:
+            frames = region.frames
+            entry = (
+                frames, fast.time_for_frames(frames),
+                slow.time_for_frames(frames),
+            )
+            for p in region.partitions:
+                self.bitstreams[(region.name, p.label)] = entry
+        use = dict.fromkeys(self.bitstreams, 0)
+        for config in scheme.design.configurations:
+            for region, label in zip(
+                scheme.regions, scheme.activity(config.name)
+            ):
+                if label is not None:
+                    use[(region.name, label)] += 1
+        self.pin_order: tuple[tuple[str, str], ...] = tuple(
+            sorted(use, key=lambda k: (-use[k], k))
+        )
+        self.default_capacity = default_store_capacity(scheme)
+
+
+def store_layout(scheme: PartitioningScheme, policy: PolicySpec) -> StoreLayout:
+    """The scheme's cached :class:`StoreLayout` for ``policy``'s ICAP pair."""
+    slot = (_LAYOUT_SLOT, policy.icap, policy.slow_icap)
+    layout = scheme._cost_cache.get(slot)
+    if layout is None:
+        layout = StoreLayout(
+            scheme, policy.icap_model, policy.slow_icap_model
+        )
+        scheme._cost_cache[slot] = layout
+    return layout
+
+
 class BitstreamStore:
     """Finite fast bitstream memory in front of slow backing storage.
 
@@ -186,7 +245,9 @@ class BitstreamStore:
       LRU order).
 
     Deterministic by construction: no clocks, no randomness -- ordering
-    derives from insertion/hit sequence and sorted names only.
+    derives from insertion/hit sequence and sorted names only.  The
+    scheme-derived tables come from the cached :class:`StoreLayout`, so
+    constructing a store per replayed trace costs only its own state.
     """
 
     def __init__(
@@ -198,22 +259,17 @@ class BitstreamStore:
         if policy.eviction == "none":
             raise PolicyError("BitstreamStore needs an eviction policy")
         self.policy = policy.eviction
-        self._fast = policy.icap_model
-        self._slow = policy.slow_icap_model
+        layout = store_layout(scheme, policy)
         self.capacity = (
             capacity_frames
             if capacity_frames is not None
             else policy.store_capacity_frames
             if policy.store_capacity_frames is not None
-            else default_store_capacity(scheme)
+            else layout.default_capacity
         )
         if self.capacity < 1:
             raise PolicyError("store capacity must be positive")
-        self._frames: dict[tuple[str, str], int] = {
-            (region.name, p.label): region.frames
-            for region in scheme.regions
-            for p in region.partitions
-        }
+        self._bitstreams = layout.bitstreams
         #: Resident entries in LRU order (first = coldest).
         self._resident: dict[tuple[str, str], int] = {}
         self._hit_counts: dict[tuple[str, str], int] = {}
@@ -223,20 +279,13 @@ class BitstreamStore:
         self.evictions = 0
         self._pinned: frozenset[tuple[str, str]] = frozenset()
         if self.policy == "static":
-            self._pin_static(scheme)
+            self._pin_static(layout.pin_order)
 
-    def _pin_static(self, scheme: PartitioningScheme) -> None:
+    def _pin_static(self, order: Iterable[tuple[str, str]]) -> None:
         """Pin the most-used bitstreams (by scheme activity counts)."""
-        use: dict[tuple[str, str], int] = {key: 0 for key in self._frames}
-        for config in scheme.design.configurations:
-            for region, label in zip(
-                scheme.regions, scheme.activity(config.name)
-            ):
-                if label is not None:
-                    use[(region.name, label)] += 1
         pinned = []
-        for key in sorted(use, key=lambda k: (-use[k], k)):
-            frames = self._frames[key]
+        for key in order:
+            frames = self._bitstreams[key][0]
             if self._used + frames > self.capacity:
                 continue
             pinned.append(key)
@@ -251,12 +300,10 @@ class BitstreamStore:
     def _evict_until(self, needed: int) -> None:
         while self._used + needed > self.capacity and self._resident:
             if self.policy == "activity":
-                victim = min(
-                    self._resident,
-                    key=lambda k: (
-                        self._hit_counts.get(k, 0),
-                        list(self._resident).index(k),
-                    ),
+                hits = self._hit_counts
+                _, _, victim = min(
+                    (hits.get(k, 0), i, k)
+                    for i, k in enumerate(self._resident)
                 )
             else:  # lru
                 victim = next(iter(self._resident))
@@ -271,7 +318,7 @@ class BitstreamStore:
         """
         key = (region_name, label)
         try:
-            frames = self._frames[key]
+            frames, fast_s, slow_s = self._bitstreams[key]
         except KeyError:
             raise PolicyError(
                 f"unknown bitstream {label!r} for region {region_name!r}"
@@ -282,14 +329,13 @@ class BitstreamStore:
             if self.policy != "static":
                 # Refresh recency: move to the hot end.
                 self._resident[key] = self._resident.pop(key)
-            return self._fast.time_for_frames(frames), True
+            return fast_s, True
         self.misses += 1
-        seconds = self._slow.time_for_frames(frames)
         if self.policy != "static" and frames <= self.capacity:
             self._evict_until(frames)
             self._resident[key] = frames
             self._used += frames
-        return seconds, False
+        return slow_s, False
 
     def preload(self, region_name: str, label: str) -> None:
         """Make one bitstream resident without charging a fetch.
@@ -299,11 +345,12 @@ class BitstreamStore:
         resident set is fixed at construction.
         """
         key = (region_name, label)
-        frames = self._frames.get(key)
-        if frames is None:
+        entry = self._bitstreams.get(key)
+        if entry is None:
             raise PolicyError(
                 f"unknown bitstream {label!r} for region {region_name!r}"
             )
+        frames = entry[0]
         if self.policy == "static" or key in self._resident:
             return
         if frames > self.capacity:

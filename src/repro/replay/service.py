@@ -50,10 +50,12 @@ from ..core.model import PRDesign
 from ..core.partitioner import partition_with_device_selection  # noqa: F401
 from ..flow.xmlio import design_to_xml
 from ..obs import NULL_TRACER, Tracer
+from ..obs.metrics import Histogram
 from ..service.cache import ResultCache
 from ..service.jobs import Job, JobStore
 from ..service.problem import partition_cached, resolve_problem_text
 from .engine import (
+    REPLAY_LATENCY_BOUNDS,
     ReplayError,
     ReplayResult,
     replay_batch_key,
@@ -97,7 +99,10 @@ def _replay_batch_docs(
 
 
 def replay_keys(
-    job: Job, partition_key: str, design: PRDesign
+    job: Job,
+    partition_key: str,
+    design: PRDesign,
+    trace_keys: dict[tuple[tuple[str, ...], str], str] | None = None,
 ) -> tuple[str, list[str]]:
     """``(job key, member record keys)`` of a replay-batch job.
 
@@ -106,10 +111,24 @@ def replay_keys(
     :func:`~repro.replay.engine.replay_batch_key` while the members are
     the per-trace record keys -- phase 1 of the batch runner declares
     the job cached exactly when **every** member has a stored record.
+
+    ``trace_keys`` memoises :func:`~repro.replay.trace.trace_key` across
+    calls, keyed by (config names, spec ``repr``): a design's policy
+    jobs carry the same trace specs, so phase 1 keys each once.  The
+    ``repr`` tells apart exactly the specs whose canonical documents
+    differ (``0.0`` and ``-0.0`` compare equal but key apart).
     """
     names = config_names(design)
     specs, policy = _replay_batch_docs(job.replay)
-    tkeys = [trace_key(names, spec) for spec in specs]
+    if trace_keys is None:
+        trace_keys = {}
+    tkeys = []
+    for spec in specs:
+        memo = (names, repr(spec))
+        tk = trace_keys.get(memo)
+        if tk is None:
+            tk = trace_keys[memo] = trace_key(names, spec)
+        tkeys.append(tk)
     members = replay_result_keys(partition_key, tkeys, policy)
     return replay_batch_key(partition_key, tkeys, policy), members
 
@@ -126,24 +145,6 @@ def replay_probe_keys(
     return replay_keys(
         job, problem.key(job.max_candidate_sets), problem.design
     )
-
-
-def replay_summary(result: ReplayResult) -> dict[str, Any]:
-    """The compact per-job summary shipped in worker outcomes.
-
-    This is what lands in the telemetry sink's ``job`` records (and so
-    in ``repro obs report``): enough to aggregate per-policy latency
-    fleet-wide without re-reading the replay store.
-    """
-    return {
-        "policy": str(result.policy.get("name", "?")),
-        "events": result.events,
-        "switches": result.switches,
-        "stall_events": result.stall_events,
-        "total_seconds": result.total_seconds,
-        "icap_utilisation": result.icap_utilisation,
-        "latency": result.latency.to_dict(),
-    }
 
 
 def run_replay_batch_payload(
@@ -171,9 +172,10 @@ def run_replay_batch_payload(
 
     scheme = result.scheme
     names = config_names(scheme.design)
+    markov = policy.predictor == "markov"
     records: list[dict[str, Any]] = []
     tkeys: list[str] = []
-    summary: dict[str, Any] | None = None
+    summary = _BatchSummary(policy)
     with tracer.span("replay_batch", policy=policy.name, traces=len(specs)):
         for spec in specs:
             tk = trace_key(names, spec)
@@ -182,17 +184,17 @@ def run_replay_batch_payload(
                 scheme,
                 iter_trace(names, spec),
                 policy,
-                matrix=generator_matrix(names, spec),
+                # Only the markov predictor reads the environment matrix.
+                matrix=generator_matrix(names, spec) if markov else None,
                 problem_key=partition_key,
                 trace_key=tk,
                 tracer=tracer,
             )
             records.append(replay_record(replayed))
-            summary = _fold_summary(summary, replayed)
+            summary.add(replayed)
     store.put_many(
         dict(zip(replay_result_keys(partition_key, tkeys, policy), records))
     )
-    assert summary is not None  # specs is validated non-empty
     return {
         "job_id": payload["job_id"],
         "ok": True,
@@ -200,39 +202,58 @@ def run_replay_batch_payload(
         "device": device_name,
         "total_frames": result.total_frames,
         "compute_s": time.perf_counter() - t0,
-        "replay": summary,
+        "replay": summary.to_dict(),
         "batch": len(specs),
     }
 
 
-def _fold_summary(
-    summary: dict[str, Any] | None, result: ReplayResult
-) -> dict[str, Any]:
-    """Fold one member result into a batch's aggregate replay summary.
+class _BatchSummary:
+    """The compact replay summary a batch job ships in its outcome.
 
-    Counts sum, latency histograms merge, and utilisation is recomputed
-    over the folded totals -- the same aggregation
+    This is what lands in the telemetry sink's ``job`` records (and so
+    in ``repro obs report``): enough to aggregate per-policy latency
+    fleet-wide without re-reading the replay store.  Member counts sum,
+    the member latency histograms merge into one live
+    :class:`~repro.obs.metrics.Histogram` (serialised once, by
+    :meth:`to_dict`), and utilisation is computed over the folded
+    totals -- the same aggregation
     :class:`repro.obs.report.ReplayPolicyStats` applies across jobs,
     done once in-worker so a batch ships one summary, not N.
     """
-    member = replay_summary(result)
-    if summary is None:
-        member["traces"] = 1
-        return member
-    from ..obs.metrics import Histogram
 
-    summary["traces"] = int(summary.get("traces", 1)) + 1
-    for field in ("events", "switches", "stall_events"):
-        summary[field] += member[field]
-    summary["total_seconds"] += member["total_seconds"]
-    budget = summary["events"] * result.dwell_s
-    summary["icap_utilisation"] = (
-        summary["total_seconds"] / budget if budget > 0 else 0.0
+    __slots__ = (
+        "policy", "traces", "events", "switches", "stall_events",
+        "total_seconds", "latency",
     )
-    merged = Histogram.from_dict(summary["latency"])
-    merged.merge(result.latency)
-    summary["latency"] = merged.to_dict()
-    return summary
+
+    def __init__(self, policy: PolicySpec):
+        self.policy = policy
+        self.traces = self.events = self.switches = self.stall_events = 0
+        self.total_seconds = 0.0
+        self.latency = Histogram(bounds=REPLAY_LATENCY_BOUNDS)
+
+    def add(self, result: ReplayResult) -> None:
+        self.traces += 1
+        self.events += result.events
+        self.switches += result.switches
+        self.stall_events += result.stall_events
+        self.total_seconds += result.total_seconds
+        self.latency.merge(result.latency)
+
+    def to_dict(self) -> dict[str, Any]:
+        budget = self.events * self.policy.dwell_s
+        return {
+            "policy": self.policy.name,
+            "events": self.events,
+            "switches": self.switches,
+            "stall_events": self.stall_events,
+            "total_seconds": self.total_seconds,
+            "icap_utilisation": (
+                self.total_seconds / budget if budget > 0 else 0.0
+            ),
+            "latency": self.latency.to_dict(),
+            "traces": self.traces,
+        }
 
 
 def submit_replay_suite(

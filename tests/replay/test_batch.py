@@ -268,9 +268,36 @@ class TestThroughputCounters:
         counters = tracer.counters
         # One batch job per policy.
         assert counters.get("replay.batch_jobs") == 2
-        # Only no-prefetch is vector-eligible (prefetch-oracle runs the
-        # stateful scalar fallback): 2 traces x 24 events.
-        assert counters.get("replay.vector_events", 0) == 2 * 24
+        # Both policies run the vector kernel (no-prefetch is history-
+        # free, and every oracle speculation is used by the next event):
+        # 2 policies x 2 traces x 24 events.
+        assert counters.get("replay.vector_events", 0) == 2 * 2 * 24
+
+    def test_phase1_keys_each_trace_spec_once(self, tmp_path, monkeypatch):
+        import repro.replay.service as replay_service
+
+        queue = JobStore(tmp_path / "q")
+        cache = ResultCache(tmp_path / "cache")
+        jobs = submit_replay_suite(queue, WorkloadSuite(**SUITE), POLICIES,
+                                   batch_size=2)
+        expected = {job.id: replay_probe_keys(job) for job in jobs}
+        keyed = []
+        real = replay_service.trace_key
+
+        def counting(names, spec):
+            keyed.append((names, spec))
+            return real(names, spec)
+
+        monkeypatch.setattr(replay_service, "trace_key", counting)
+        report = run_batch(queue, cache, workers=1)
+        assert report.failed == 0
+        # Phase 1 keys each design's specs once across both policies;
+        # the two workers of a design's policies key them again.
+        specs = SUITE["designs"] * SUITE["traces_per_design"]
+        assert len(keyed) == specs + len(POLICIES) * specs
+        assert {job.id: queue.get(job.id).result_key for job in jobs} == {
+            job_id: key for job_id, (key, _members) in expected.items()
+        }
 
     def test_counters_render_in_the_obs_report(self, tmp_path, capsys):
         from repro.cli import main
@@ -288,3 +315,111 @@ class TestThroughputCounters:
         out = capsys.readouterr().out
         assert "replay.batch_jobs" in out
         assert "replay.vector_events" in out
+
+
+def _fold_summary_oracle(summary, result):
+    """The per-member fold batch jobs used to run: one summary dict,
+    its histogram rebuilt from the dict for every member."""
+    from repro.obs.metrics import Histogram
+
+    member = {
+        "policy": str(result.policy.get("name", "?")),
+        "events": result.events,
+        "switches": result.switches,
+        "stall_events": result.stall_events,
+        "total_seconds": result.total_seconds,
+        "icap_utilisation": result.icap_utilisation,
+        "latency": result.latency.to_dict(),
+    }
+    if summary is None:
+        member["traces"] = 1
+        return member
+    summary["traces"] = int(summary.get("traces", 1)) + 1
+    for name in ("events", "switches", "stall_events"):
+        summary[name] += member[name]
+    summary["total_seconds"] += member["total_seconds"]
+    budget = summary["events"] * result.dwell_s
+    summary["icap_utilisation"] = (
+        summary["total_seconds"] / budget if budget > 0 else 0.0
+    )
+    merged = Histogram.from_dict(summary["latency"])
+    merged.merge(result.latency)
+    summary["latency"] = merged.to_dict()
+    return summary
+
+
+class TestBatchSummary:
+    """The worker's live fold equals the per-member dict round trip."""
+
+    @pytest.fixture(scope="class")
+    def members(self):
+        from repro.arch.resources import ResourceVector
+        from repro.core.partitioner import partition
+        from repro.eval.example_design import example_design
+        from repro.replay import iter_trace, replay_trace
+        from repro.replay.trace import config_names
+
+        scheme = partition(example_design(), ResourceVector(520, 16, 16)).scheme
+        names = config_names(scheme.design)
+        # Empty, tiny and long traces; 700 events alone overflow the
+        # 512-sample reservoir, and a dozen 150-event members together.
+        lengths = [0, 1, 150, 700] + [150] * 10
+        out = {}
+        for policy in ("no-prefetch", "evict-lru", "prefetch-oracle"):
+            out[policy] = [
+                replay_trace(scheme, iter_trace(names, TraceSpec(
+                    environment="uniform", length=n, seed=i)), policy)
+                for i, n in enumerate(lengths)
+            ]
+        return out
+
+    @pytest.mark.parametrize("policy",
+                             ["no-prefetch", "evict-lru", "prefetch-oracle"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 6, 14])
+    def test_live_fold_matches_the_round_trip(self, members, policy, count):
+        from repro.replay.service import _BatchSummary
+
+        results = members[policy][:count]
+        oracle = None
+        for result in results:
+            oracle = _fold_summary_oracle(oracle, result)
+        fold = _BatchSummary(POLICY_PRESETS[policy])
+        for result in results:
+            fold.add(result)
+        live = fold.to_dict()
+        assert json.dumps(live) == json.dumps(oracle)
+        if count == 14:
+            # The fold really crossed the reservoir cap.
+            assert live["latency"]["summary"]["stride"] > 1
+            assert live["latency"]["summary"]["count"] > 512
+
+    def test_worker_summary_folds_its_stored_records(self, tmp_path):
+        from repro.replay import run_replay_batch_payload
+        from repro.replay.engine import result_from_record
+        from repro.service.pool import partition_problem_key
+
+        queue = JobStore(tmp_path / "q")
+        cache = ResultCache(tmp_path / "cache")
+        suite = WorkloadSuite(designs=1, traces_per_design=6, length=160,
+                              seed=5)
+        job, = submit_replay_suite(queue, suite, ["prefetch-markov"],
+                                   batch_size=6)
+        outcome = run_replay_batch_payload({
+            "job_id": job.id,
+            "design_xml": job.design_xml,
+            "device": job.device,
+            "max_candidate_sets": job.max_candidate_sets,
+            "kind": job.kind,
+            "replay": job.replay,
+            "cache_root": str(cache.root),
+            "partition_key": partition_problem_key(job),
+            "library": None,
+            "collect_trace": False,
+        })
+        store = replay_store_for(cache)
+        oracle = None
+        for member in replay_probe_keys(job)[1]:
+            oracle = _fold_summary_oracle(
+                oracle, result_from_record(store.get_record(member)))
+        assert json.dumps(outcome["replay"]) == json.dumps(oracle)
+        assert outcome["replay"]["traces"] == 6

@@ -143,6 +143,40 @@ class TestBitstreamStore:
         store.fetch(other[0].name, other[1])
         assert (region.name, labels[0]) in store.resident_keys
 
+    def test_activity_ties_evict_the_coldest(self, receiver_scheme):
+        region = receiver_scheme.regions[0]
+        labels = [p.label for p in region.partitions]
+        assert len(labels) >= 3
+        store = BitstreamStore(
+            receiver_scheme, POLICY_PRESETS["evict-activity"],
+            capacity_frames=2 * region.frames,
+        )
+        for label in labels[:3]:
+            store.fetch(region.name, label)  # no hits yet: all tie
+        # The tie breaks on LRU order: labels[0] went, labels[1] stayed.
+        assert store.resident_keys == (
+            (region.name, labels[1]), (region.name, labels[2]))
+
+    def test_static_pins_by_descending_use_then_name(self, receiver_scheme):
+        scheme = receiver_scheme
+        use = {(r.name, p.label): 0 for r in scheme.regions
+               for p in r.partitions}
+        for config in scheme.design.configurations:
+            for region, label in zip(scheme.regions,
+                                     scheme.activity(config.name)):
+                if label is not None:
+                    use[(region.name, label)] += 1
+        frames = {(r.name, p.label): r.frames for r in scheme.regions
+                  for p in r.partitions}
+        store = BitstreamStore(scheme, POLICY_PRESETS["evict-static"])
+        expected, used = [], 0
+        for key in sorted(use, key=lambda k: (-use[k], k)):
+            if used + frames[key] <= store.capacity:
+                expected.append(key)
+                used += frames[key]
+        assert list(store.resident_keys) == expected
+        assert len(expected) < len(use)  # the store cannot pin them all
+
     def test_static_pins_up_front_and_never_adapts(self, receiver_scheme):
         store = BitstreamStore(receiver_scheme, POLICY_PRESETS["evict-static"])
         pinned = store.resident_keys
@@ -187,3 +221,62 @@ class TestBitstreamStore:
         seconds, resident = store.fetch(region.name, label)
         assert seconds > 0 and not resident
         assert (region.name, label) not in store.resident_keys
+
+
+class TestStoreLayout:
+    """Every store over one (scheme, ICAP pair) shares one cached layout."""
+
+    @staticmethod
+    def _drive(store, scheme):
+        # Every bitstream twice over, then the first region's partials
+        # again: enough traffic to miss, hit and (lru/activity) evict.
+        keys = [(r.name, p.label) for r in scheme.regions for p in r.partitions]
+        keys = keys * 2 + keys[: len(scheme.regions[0].partitions)]
+        return [store.fetch(*key) for key in keys], store.stats()
+
+    @pytest.mark.parametrize("eviction", ["lru", "static", "activity"])
+    def test_cached_layout_matches_a_fresh_build(
+        self, receiver_scheme, monkeypatch, eviction
+    ):
+        from repro.core.result import Region
+        from repro.replay.policies import store_layout
+
+        largest = max(r.frames for r in receiver_scheme.regions)
+        policy = PolicySpec(
+            name="small", eviction=eviction,
+            store_capacity_frames=2 * largest,
+        )
+        layout = store_layout(receiver_scheme, policy)
+        assert store_layout(receiver_scheme, policy) is layout
+        # A second store reads the cached layout: no frame span is
+        # recomputed.
+        with monkeypatch.context() as patch:
+            patch.setattr(Region, "frames", property(
+                lambda self: pytest.fail("Region.frames recomputed")))
+            cached = BitstreamStore(receiver_scheme, policy)
+        # A fresh scheme (empty cost cache) builds its layout anew.
+        fresh_scheme = partition(
+            receiver_scheme.design, CASESTUDY_BUDGET
+        ).scheme
+        fresh = BitstreamStore(fresh_scheme, policy)
+        assert store_layout(fresh_scheme, policy) is not layout
+        got, want = (
+            self._drive(cached, receiver_scheme),
+            self._drive(fresh, fresh_scheme),
+        )
+        assert got == want
+        if eviction != "static":
+            assert got[1]["evictions"] > 0
+
+    def test_layout_is_per_icap_pair(self, receiver_scheme):
+        from repro.replay.policies import store_layout
+
+        flash = POLICY_PRESETS["evict-lru"]
+        hwicap = PolicySpec(name="hwicap", eviction="lru",
+                            slow_icap="vendor-hwicap")
+        a, b = store_layout(receiver_scheme, flash), store_layout(
+            receiver_scheme, hwicap)
+        assert a is not b
+        key = next(iter(a.bitstreams))
+        assert a.bitstreams[key][:2] == b.bitstreams[key][:2]
+        assert a.bitstreams[key][2] != b.bitstreams[key][2]

@@ -130,6 +130,32 @@ class TestReplayJobKey:
                     replay=_replay_doc(policy="prefetch-oracle"))
         assert key != replay_probe_keys(other)[0]
 
+    def test_shared_trace_key_memo_keys_like_a_fresh_one(self, tiny_design):
+        from repro.replay.service import replay_keys
+        from repro.service.problem import resolve_problem_text
+
+        xml = design_to_xml(tiny_design)
+        problem = resolve_problem_text(xml, None, None)
+        pkey = problem.key(None)
+        # Specs that compare equal but serialise apart (0.0 vs -0.0)
+        # must not share a memo entry.
+        specs = [TraceSpec(environment="bursty", length=40, seed=5,
+                           dwell=dwell) for dwell in (0.0, -0.0, 0.5)]
+        jobs = [
+            Job(id=f"{i}-{policy}", name="x", design_xml=xml,
+                kind="replay-batch",
+                replay=_replay_doc(spec, policy=policy))
+            for i, spec in enumerate(specs)
+            for policy in ("no-prefetch", "evict-lru")
+        ]
+        memo = {}
+        shared = [replay_keys(job, pkey, problem.design, memo)
+                  for job in jobs]
+        assert shared == [replay_keys(job, pkey, problem.design)
+                          for job in jobs]
+        assert len(memo) == len(specs)
+        assert len({members[0] for _key, members in shared}) == len(jobs)
+
     def test_malformed_replay_spec_raises(self, tiny_design):
         job = Job(id="x", name="x", design_xml=design_to_xml(tiny_design),
                   kind="replay-batch", replay=_replay_doc())
