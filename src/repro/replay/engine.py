@@ -15,13 +15,9 @@ the same (problem key, trace key, policy) always produces byte-
 identical records, which is what makes fleet sweeps cache-first
 (:mod:`repro.replay.store`) and the dashboard ``--check``-able.
 
-The oracle predictor needs one-step lookahead; the streaming loops
-(the reference and the scalar kernel) buffer a single upcoming event
-while consuming the stream, so they stay lazy (million-event traces
-never materialise).  Under ``engine="auto"`` the oracle, like every
-policy the vector kernel models, reads the trace as one id array, and
-its lookahead becomes array arithmetic: every speculative load is used
-by the very next event (see :mod:`repro.replay.kernel`).
+The oracle predictor needs one-step lookahead; the engine buffers a
+single upcoming event while consuming the stream, so laziness is
+preserved (million-event traces still never materialise).
 """
 
 from __future__ import annotations
@@ -40,9 +36,8 @@ from . import kernel
 from .policies import BitstreamStore, PolicySpec, resolve_policy
 
 #: The replay engines ``replay_trace`` dispatches between.  ``auto``
-#: picks the vectorized kernel when it models the policy (history-free
-#: stores and oracle prefetching, :func:`repro.replay.kernel.vector_eligible`)
-#: and the inlined scalar loop otherwise; ``reference`` is the original
+#: picks the vectorized kernel when the policy is history-free and the
+#: inlined scalar loop otherwise; ``reference`` is the original
 #: manager-based loop, kept as the differential oracle (``auto`` is
 #: pinned bit-identical to it by tests/replay/test_kernel.py).
 REPLAY_ENGINES = ("auto", "reference")
@@ -233,11 +228,10 @@ def replay_trace(
 
     ``engine`` selects the implementation (:data:`REPLAY_ENGINES`); both
     produce bit-identical results.  ``auto`` materialises the trace as
-    an id array for the policies the vector kernel models -- the plain
-    manager over no store or a static one, and oracle prefetching -- and
-    that kernel counts the events it absorbs on ``tracer`` as
-    ``replay.vector_events``; markov prefetching and lru/activity stores
-    stream through the scalar loop, and ``reference`` always streams.
+    an id array for history-free policies (the vector kernel, which
+    counts the events it absorbs on ``tracer`` as
+    ``replay.vector_events``) and streams it through the scalar loop
+    otherwise; ``reference`` always streams.
     """
     policy = resolve_policy(policy)
     if engine not in REPLAY_ENGINES:
@@ -262,9 +256,7 @@ def replay_trace(
     )
     tables = kernel.tables_for(scheme)
     if kernel.vector_eligible(policy):
-        ids = kernel.encode_trace(
-            tables, trace, lookahead=policy.predictor == "oracle"
-        )
+        ids = kernel.encode_trace(tables, trace)
         kernel.run_vector(scheme, tables, ids, policy, result)
         tracer.count("replay.vector_events", int(ids.size))
     else:

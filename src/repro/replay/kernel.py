@@ -13,26 +13,19 @@ tests/replay/test_kernel.py):
   region ICAP seconds, config-name ids) and the manager/prefetch state
   machines inlined, so one event costs a handful of dict/list
   operations instead of a ``TransitionRecord`` allocation plus an
-  O(regions) ``next()`` scan per rewritten region.  Its bitstream
+  O(regions) ``next()`` scan per rewritten region; its bitstream
   store reads the scheme's cached
-  :class:`~repro.replay.policies.StoreLayout`, and its switch
-  latencies reach the histogram in bounded chunks through
-  :meth:`~repro.obs.metrics.Histogram.observe_many`.  Covers *every*
+  :class:`~repro.replay.policies.StoreLayout`.  Covers *every*
   policy and preserves the engine's streaming contract (million-event
   traces never materialise).
 * :func:`run_vector` -- the ``repro.core.kernels`` treatment of the
   event loop: the trace becomes an int id array, per-region loaded
   state is a ``maximum.accumulate`` forward fill, and rewrite masks /
-  frame totals are array ops.  Eligible (:func:`vector_eligible`) when
-  the array ops model the policy's per-event state: the plain manager
-  with ``none`` or ``static`` eviction (a static store never changes
-  residency after construction), and ``oracle`` prefetching.  With
-  one-step lookahead every speculative load is consumed by the very
-  next event, so the oracle splits the plain rewrite mask by whether
-  the region was busy at the previous event: busy means a charged
-  rewrite, idle means a prefetch hit, and nothing is ever wasted.
-  ``markov`` prefetching and lru/activity stores carry history and
-  fall back to :func:`run_scalar`.
+  frame totals are array ops.  Eligible exactly when the per-event
+  state is history-free: the plain manager with ``none`` or ``static``
+  eviction (a static store never changes residency after construction).
+  Stateful policies (prefetch predictors, lru/activity stores) fall
+  back to :func:`run_scalar`.
 
 Bit-identity hinges on float evaluation order, so the only accumulation
 the vector path leaves in Python is the one the reference performs:
@@ -44,7 +37,6 @@ latency histogram consume the per-event values strictly in event order
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -57,9 +49,6 @@ from .policies import BitstreamStore, PolicySpec
 
 #: ``scheme._cost_cache`` slot holding the scheme's :class:`ReplayTables`.
 _TABLES_SLOT = "replay_tables"
-
-#: Switch latencies :func:`run_scalar` buffers per ``observe_many`` call.
-_OBSERVE_CHUNK = 4096
 
 
 class ReplayTables:
@@ -154,35 +143,21 @@ def tables_for(scheme: PartitioningScheme) -> ReplayTables:
 
 
 def vector_eligible(policy: PolicySpec) -> bool:
-    """True when :func:`run_vector` models the policy's per-event state:
-    a plain manager over a history-free store, or oracle prefetching
-    (whose every speculation the next event consumes)."""
-    if policy.manager == "prefetch":
-        return policy.predictor == "oracle"
-    return policy.eviction in ("none", "static")
+    """True when the per-event state machine is history-free."""
+    return policy.manager == "plain" and policy.eviction in ("none", "static")
 
 
 def encode_trace(
-    tables: ReplayTables, trace: Iterable[str], lookahead: bool = False
+    tables: ReplayTables, trace: Iterable[str]
 ) -> np.ndarray:
     """The trace as a config-id array (raises the reference's
-    :class:`TraceError` on unknown names).
-
-    With ``lookahead`` (the oracle predictor) every name after the
-    first reaches the predictor before the manager, so an unknown one
-    raises the predictor's message, as the reference does.
-    """
+    :class:`TraceError` on unknown names)."""
     config_id = tables.config_id
-    it = iter(trace)
-    what = "unknown"
     try:
-        ids = [config_id[name] for name in islice(it, 1)]
-        if lookahead:
-            what = "predictor returned unknown"
-        ids += [config_id[name] for name in it]
+        ids = [config_id[name] for name in trace]
     except KeyError as exc:
         raise TraceError(
-            f"{what} configuration {exc.args[0]!r}"
+            f"unknown configuration {exc.args[0]!r}"
         ) from None
     return np.asarray(ids, dtype=np.int64)
 
@@ -201,12 +176,7 @@ def run_vector(
     the import graph acyclic).
     """
     E = int(ids.size)
-    prefetching = policy.manager == "prefetch"
     if E == 0:
-        if prefetching:
-            result.prefetch = {
-                "hits": 0, "prefetched_frames": 0, "wasted_frames": 0,
-            }
         if policy.eviction == "static":
             # The reference constructs the store up front, so even an
             # empty replay reports its pinned residency.
@@ -236,19 +206,6 @@ def run_vector(
     loaded_before = np.where(prev_last >= 0, before, NONE_ID)
     rewrite = seen & (A != loaded_before)
     rewrite[0] = False  # the initial full configuration is uncharged
-    if prefetching:
-        # Oracle lookahead: the dwell after event e-1 loads every region
-        # idle at e-1 with what event e needs, so each such rewrite is a
-        # prefetch hit instead, and the next event consumes every
-        # speculation (none is ever overwritten, so none is wasted).
-        hit = np.zeros_like(rewrite)
-        np.logical_and(rewrite[1:], ~seen[:-1], out=hit[1:])
-        rewrite[1:] &= seen[:-1]
-        result.prefetch = {
-            "hits": int(hit.sum()),
-            "prefetched_frames": int((hit @ tables.frames_arr).sum()),
-            "wasted_frames": 0,
-        }
 
     result.events = E
     result.rewrites = int(rewrite.sum())
@@ -319,11 +276,7 @@ def run_scalar(
     fast_secs, _ = tables.seconds_for(policy)
     R = len(region_names)
     dwell = policy.dwell_s
-    # Switch latencies reach the histogram through observe_many (bit-
-    # identical to one observe each), a bounded chunk at a time.
-    switch_latency: list[float] = []
-    record_switch = switch_latency.append
-    observe_many = result.latency.observe_many
+    observe = result.latency.observe
 
     store: BitstreamStore | None = None
     if policy.eviction != "none":
@@ -391,10 +344,7 @@ def run_scalar(
             events += 1
             if ci != prev:
                 switches += 1
-                record_switch(latency)
-                if len(switch_latency) == _OBSERVE_CHUNK:
-                    observe_many(switch_latency)
-                    switch_latency.clear()
+                observe(latency)
             total_seconds += latency
             if latency > dwell:
                 stall_events += 1
@@ -442,7 +392,6 @@ def run_scalar(
         prev = ci
         current = upcoming
 
-    observe_many(switch_latency)
     result.events = events
     result.switches = switches
     result.rewrites = rewrites

@@ -304,17 +304,16 @@ class _Batch:
         replay-batch job is a hit exactly when every one of its member
         records is stored.  Each distinct problem spec is parsed and
         keyed once per call, however many policies and trace batches
-        replay it, and each trace spec is keyed once per run of its
-        design's queued jobs (a design's policy jobs share their specs);
-        the worker payload carries the partition key, so a worker parses
-        the XML only when it has to search.  Misses go onto the work
-        heap.
+        replay it, and so is each trace spec (a design's policy jobs
+        share their specs); the worker payload carries the partition
+        key, so a worker parses the XML only when it has to search.
+        Misses go onto the work heap.
         """
         store, report, tracer = self.store, self.report, self.tracer
         keyed: list[tuple[Job, str, list[str] | None]] = []
         replay_members: list[str] = []
         problems: dict[tuple, tuple[str, ResolvedProblem]] = {}
-        trace_keys: dict[tuple[tuple[str, ...], str], str] = {}
+        trace_keys: dict = {}  # replay_keys' trace-key memo
         for job in store.pending():
             spec = (job.design_xml, job.device, job.max_candidate_sets)
             try:
@@ -325,9 +324,6 @@ class _Batch:
                     problems[spec] = (
                         problem.key(job.max_candidate_sets), problem
                     )
-                    # A design's jobs are queued together: keep only the
-                    # current design's trace keys alive.
-                    trace_keys = {}
                 pkey, problem = problems[spec]
                 if job.kind == "replay-batch":
                     from ..replay.service import replay_keys

@@ -268,10 +268,9 @@ class TestThroughputCounters:
         counters = tracer.counters
         # One batch job per policy.
         assert counters.get("replay.batch_jobs") == 2
-        # Both policies run the vector kernel (no-prefetch is history-
-        # free, and every oracle speculation is used by the next event):
-        # 2 policies x 2 traces x 24 events.
-        assert counters.get("replay.vector_events", 0) == 2 * 2 * 24
+        # Only no-prefetch is vector-eligible (prefetch-oracle runs the
+        # stateful scalar fallback): 2 traces x 24 events.
+        assert counters.get("replay.vector_events", 0) == 2 * 24
 
     def test_phase1_keys_each_trace_spec_once(self, tmp_path, monkeypatch):
         import repro.replay.service as replay_service

@@ -1,16 +1,15 @@
 """The replay fast paths: differential identity vs the reference.
 
-``engine="auto"`` (the vector kernel for history-free policies and
-oracle prefetching, the inlined scalar loop otherwise) is a pure
-throughput optimisation, so its contract is absolute: for every
-(scheme, trace, policy) it must emit a canonical record byte-identical
-to the hand-written reference loop -- same bucket counts, same exact
-float aggregates, same retained quantile samples.  These tests enforce
-that with a hypothesis differential gate over every policy preset (so
-both fast paths run) on the paper example and on synthetic schemes of
-three or more regions, with stores small enough that lru and activity
-evict, plus unit pins for engine selection, the empty trace and the
-unknown-name errors.
+``engine="auto"`` (the vector kernel for history-free policies, the
+inlined scalar loop otherwise) is a pure throughput optimisation, so
+its contract is absolute: for every (scheme, trace, policy) it must
+emit a canonical record byte-identical to the hand-written reference
+loop -- same bucket counts, same exact float aggregates, same retained
+quantile samples.  These tests enforce that with a hypothesis
+differential gate over every policy preset (so both fast paths run) on
+the paper example and on synthetic schemes of three or more regions,
+with stores small enough that lru and activity evict, plus unit pins
+for engine selection, the empty trace and the unknown-name errors.
 
 ``REPRO_DIFF_DESIGNS`` scales the gate's example count (at least 20;
 the CI differential step runs 200).
@@ -175,14 +174,10 @@ class TestEngineSelection:
     def test_vector_eligibility_tracks_policy_state(self):
         assert vector_eligible(POLICY_PRESETS["no-prefetch"])
         assert vector_eligible(POLICY_PRESETS["evict-static"])
-        # The next event consumes every oracle speculation, so the
-        # array kernel models oracle prefetching too.
-        assert vector_eligible(POLICY_PRESETS["prefetch-oracle"])
-        # Markov prefetching and dynamic stores carry per-event state
+        # Prefetching managers and dynamic stores carry per-event state
         # the array kernel does not model.
-        assert not vector_eligible(POLICY_PRESETS["prefetch-markov"])
+        assert not vector_eligible(POLICY_PRESETS["prefetch-oracle"])
         assert not vector_eligible(POLICY_PRESETS["evict-lru"])
-        assert not vector_eligible(POLICY_PRESETS["evict-activity"])
 
     @pytest.mark.parametrize("policy", sorted(POLICY_PRESETS))
     def test_auto_runs_the_vector_kernel_exactly_when_eligible(
@@ -206,12 +201,6 @@ class TestEngineSelection:
         assert vector_eligible(preset)
         assert _canonical(example_scheme, spec, preset) == \
             _canonical(example_scheme, spec, preset, "reference")
-
-    def test_empty_trace_reports_zeroed_prefetch_stats(self, example_scheme):
-        result = replay_trace(example_scheme, [], "prefetch-oracle")
-        assert result.prefetch == {
-            "hits": 0, "prefetched_frames": 0, "wasted_frames": 0,
-        }
 
     @pytest.mark.parametrize("policy", sorted(POLICY_PRESETS))
     @pytest.mark.parametrize("position", [0, 1, 3])
