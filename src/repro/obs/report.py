@@ -519,11 +519,28 @@ def merge_bench(
 def bench_timings(doc: Mapping[str, Any]) -> dict[str, float]:
     """name -> representative seconds (mean, falling back to min).
 
-    Shared by :func:`bench_diff` and the bench-trend renderer
+    A perfbench ledger document (one with ``sides``) is represented by
+    its measured side: the ``sides.after.end_to_end.<metric>.median`` of
+    every seconds-valued metric, named ``"<suite>: <metric>"`` because
+    every workload's record has a ``wall_s``.  Shared by
+    :func:`bench_diff` and the bench-trend renderer
     (:func:`repro.render.render_bench_trend_html`), so both agree on
     what "the" time of a benchmark is.
     """
     out: dict[str, float] = {}
+    sides = doc.get("sides")
+    if isinstance(sides, Mapping):
+        after = sides.get("after")
+        metrics = after.get("end_to_end") if isinstance(after, Mapping) else None
+        if not isinstance(metrics, Mapping):
+            return out
+        for name, metric in metrics.items():
+            if not isinstance(metric, Mapping) or metric.get("unit") != "s":
+                continue
+            value = metric.get("median")
+            if isinstance(value, (int, float)) and value > 0:
+                out[f"{doc.get('suite')}: {name}"] = float(value)
+        return out
     for bench in doc.get("benchmarks") or []:
         if not isinstance(bench, Mapping) or "name" not in bench:
             continue
@@ -551,10 +568,16 @@ def bench_diff(
     documents whose ``records`` both state a size key
     (:data:`SIZE_KEYS`) and disagree on it measured different
     workloads; comparing their times would read a size change as a
-    speed change, so that raises :class:`BenchDiffError`.
+    speed change, so that raises :class:`BenchDiffError`, and so do two
+    documents of different ``suite``.
     """
     if threshold < 0:
         raise BenchDiffError("threshold must be non-negative")
+    if old.get("suite") != new.get("suite"):
+        raise BenchDiffError(
+            f"suites differ ({old.get('suite')!r} vs {new.get('suite')!r}): "
+            "the two documents measured different workloads"
+        )
     old_records = old.get("records") or {}
     new_records = new.get("records") or {}
     for name in SIZE_KEYS:

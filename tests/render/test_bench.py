@@ -46,6 +46,20 @@ class TestTrendPage:
         parse_markup(text)
         assert "partition" in text
 
+    def test_ledger_records_of_different_suites_share_no_row(self):
+        def ledger(suite, wall):
+            return {"suite": suite, "sides": {"after": {"end_to_end": {
+                "wall_s": {"unit": "s", "median": wall}}}}}
+
+        text = render_bench_trend_html([
+            ("BENCH_replay_cached.json", ledger("perfbench replay-cached", 0.3)),
+            ("BENCH_sweep.json", ledger("perfbench sweep", 8.4)),
+        ])
+        parse_markup(text)
+        assert "perfbench replay-cached: wall_s" in text
+        assert "perfbench sweep: wall_s" in text
+        assert "REGRESSION" not in text
+
     def test_double_render_is_byte_identical(self):
         history = sample_history()
         assert render_bench_trend_html(history) == render_bench_trend_html(

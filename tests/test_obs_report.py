@@ -308,6 +308,51 @@ class TestBenchDiff:
         diff = bench_diff(old, new, threshold=0.25)
         assert diff.deltas[0].ratio == pytest.approx(2.0)
 
+    def test_different_suites_refused(self):
+        other = {**_bench_doc(a=1.0), "suite": "replay"}
+        with pytest.raises(BenchDiffError, match="suites differ"):
+            bench_diff(_bench_doc(a=1.0), other)
+
+    @staticmethod
+    def _ledger(suite="perfbench replay-cached", **medians):
+        """A perfbench ledger record: ``name=(unit, after-side median)``."""
+        def side(scale):
+            return {"end_to_end": {
+                name: {"unit": unit, "median": value * scale}
+                for name, (unit, value) in medians.items()}}
+        return {"suite": suite,
+                "sides": {"before": side(10.0), "after": side(1.0)}}
+
+    def test_ledger_compares_after_side_seconds_medians(self):
+        old = self._ledger(wall_s=("s", 0.40), setup_s=("s", 2.0),
+                           designs_per_s=("1/s", 20.0),
+                           peak_rss_mb=("MB", 60.0))
+        new = self._ledger(wall_s=("s", 0.30), setup_s=("s", 2.6),
+                           designs_per_s=("1/s", 30.0),
+                           peak_rss_mb=("MB", 47.0))
+        diff = bench_diff(old, new, threshold=0.2)
+        setup, wall = ("perfbench replay-cached: setup_s",
+                       "perfbench replay-cached: wall_s")
+        assert [d.name for d in diff.deltas] == [setup, wall]
+        assert diff.deltas[1].old == pytest.approx(0.40)
+        assert diff.deltas[1].new == pytest.approx(0.30)
+        assert [d.name for d in diff.regressions] == [setup]
+        assert [d.name for d in diff.improvements] == [wall]
+        cold = self._ledger("perfbench replay-cold", wall_s=("s", 1.0))
+        with pytest.raises(BenchDiffError, match="suites differ"):
+            bench_diff(old, cold)
+
+    def test_committed_ledger_diffs_against_itself(self):
+        from pathlib import Path
+
+        path = (Path(__file__).parent.parent / "benchmarks"
+                / "BENCH_replay_cached.json")
+        doc = load_bench(path)
+        diff = bench_diff(doc, doc)
+        assert "perfbench replay-cached: wall_s" in {
+            d.name for d in diff.deltas}
+        assert diff.regressions == []
+
     def test_committed_artifact_diffs_against_itself(self):
         from pathlib import Path
 
@@ -398,7 +443,8 @@ class TestMergeBench:
     def test_merged_doc_still_diffs(self):
         merged = merge_bench(
             self._committed(),
-            {"suite": "s", "benchmarks": [{"name": "b", "mean": 4.0}]},
+            {"suite": "test_bench_allocation.py",
+             "benchmarks": [{"name": "b", "mean": 4.0}]},
         )
         diff = bench_diff(self._committed(), merged)
         assert [d.name for d in diff.regressions] == ["b"]
